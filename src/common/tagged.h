@@ -101,7 +101,7 @@ inline void TaggedMoveWords(void* dst, const void* src, size_t bytes) {
 }
 
 /// Reader-side bulk copy out of racing storage into private memory
-/// (optimistic scans staging a chunk before validation). memcpy in
+/// (optimistic scans copying a segment run before validation). memcpy in
 /// production, per-word atomic loads under TSan.
 inline void TaggedReadWords(void* dst, const void* src, size_t bytes) {
 #if CPMA_TSAN

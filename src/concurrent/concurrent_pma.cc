@@ -684,6 +684,22 @@ ConcurrentPMA::OptRead ConcurrentPMA::TryOptimisticFind(const Structure& snap,
   return OptRead::kFallback;
 }
 
+GateAccess ConcurrentPMA::ReadLatchGateOf(Structure* snap, size_t* gid,
+                                          Key key) const {
+  for (;;) {
+    const GateAccess a = snap->gates[*gid].ReaderAccess(&key);
+    if (a == GateAccess::kTooLow) {
+      CPMA_CHECK(*gid > 0);
+      --*gid;
+    } else if (a == GateAccess::kTooHigh) {
+      CPMA_CHECK(*gid + 1 < snap->num_gates());
+      ++*gid;
+    } else {
+      return a;
+    }
+  }
+}
+
 bool ConcurrentPMA::Find(Key key, Value* value) const {
   CPMA_CHECK_MSG(key <= kKeyMax, "key out of domain (UINT64_MAX reserved)");
   EpochGuard guard(gc_);
@@ -704,25 +720,11 @@ bool ConcurrentPMA::Find(Key key, Value* value) const {
     TailEventRing::Global().RecordInstant(TailEvent::kReadFallback);
     // Blocking fallback: the pre-optimistic READ-latch protocol.
     size_t gid = snap->index->Lookup(key);
-    GateAccess a;
-    Gate* gate;
-    for (;;) {
-      gate = &snap->gates[gid];
-      a = gate->ReaderAccess(&key);
-      if (a == GateAccess::kTooLow) {
-        CPMA_CHECK(gid > 0);
-        --gid;
-      } else if (a == GateAccess::kTooHigh) {
-        CPMA_CHECK(gid + 1 < snap->num_gates());
-        ++gid;
-      } else {
-        break;
-      }
-    }
-    if (a == GateAccess::kInvalidated) {
+    if (ReadLatchGateOf(snap, &gid, key) == GateAccess::kInvalidated) {
       guard.Refresh();
       continue;
     }
+    Gate* gate = &snap->gates[gid];
     const Storage& st = *snap->storage;
     const size_t s = LocateSegment(*snap, *gate, key);
     const Item* seg = st.segment(s);
@@ -736,15 +738,33 @@ bool ConcurrentPMA::Find(Key key, Value* value) const {
 }
 
 ConcurrentPMA::OptGate ConcurrentPMA::TryOptimisticGateSum(
-    const Structure& snap, const Gate& gate, Key cursor, bool have_cursor,
-    uint64_t* sum_out, Key* gate_high) const {
+    const Structure& snap, size_t* gid, Key next, uint64_t* sum_out,
+    Key* gate_high) const {
   const Storage& st = *snap.storage;
   const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
   for (int attempt = 0; attempt < optimistic_retries_; ++attempt) {
+    const Gate& gate = snap.gates[*gid];
     const uint64_t v = gate.version().ReadBegin();
     if (!SeqVersion::Stable(v)) continue;
     if (gate.invalidated_relaxed()) return OptGate::kRestart;
+    const Key lo = gate.low_fence();
     const Key hi = gate.high_fence();
+    if (next < lo || next > hi) {
+      // The fence walk of TryOptimisticFind: a stale descent, or a fence
+      // a rebalance moved after the previous gate validated, must not
+      // skip the keys between `next` and this gate's low fence.
+      if (!gate.version().Validate(v)) continue;
+      if (next < lo) {
+        if (*gid == 0) return OptGate::kFallback;
+        --*gid;
+      } else {
+        if (*gid + 1 >= snap.num_gates()) return OptGate::kFallback;
+        ++*gid;
+      }
+      continue;
+    }
+    // Only a resume inside the gate (restart or walk) cuts segments.
+    const bool cut = next > lo;
     uint64_t local = 0;
     bool ok = true;
     for (size_t s = gate.seg_begin(); s < gate.seg_end(); ++s) {
@@ -753,12 +773,9 @@ ConcurrentPMA::OptGate ConcurrentPMA::TryOptimisticGateSum(
       }
       const Item* seg = st.segment(s);
       const uint32_t card = std::min(st.card(s), B);
-      uint32_t i = 0;
-      if (have_cursor) {
-        i = static_cast<uint32_t>(
-            hotpath::TaggedSegmentLowerBound(seg, card, cursor));
-        if (i < card && TaggedLoad(&seg[i].key) == cursor) ++i;  // after
-      }
+      uint32_t i = cut ? static_cast<uint32_t>(
+                             hotpath::TaggedSegmentLowerBound(seg, card, next))
+                       : 0;
       for (; i < card; ++i) local += TaggedLoad(&seg[i].value);
       // Segment-copy granularity: one failed window discards at most
       // one segment's worth of torn accumulation.
@@ -768,7 +785,6 @@ ConcurrentPMA::OptGate ConcurrentPMA::TryOptimisticGateSum(
       }
     }
     if (!ok) continue;
-    stat_optimistic_gate_reads_.fetch_add(1, std::memory_order_relaxed);
     *sum_out = local;
     *gate_high = hi;
     return OptGate::kOk;
@@ -778,38 +794,27 @@ ConcurrentPMA::OptGate ConcurrentPMA::TryOptimisticGateSum(
 
 uint64_t ConcurrentPMA::SumAll() const {
   uint64_t sum = 0;
-  // The cursor is the last *validated* fence key: everything <= cursor
-  // is already folded, so restarts and fallbacks resume without
-  // re-reading chunks that validated.
-  Key cursor = 0;
-  bool have_cursor = false;
+  uint64_t gate_reads = 0;
+  // Resume key: every key below `next` is folded, so restarts and
+  // fallbacks resume without re-reading gates that validated.
+  Key next = kKeyMin;
   EpochGuard guard(gc_);
+  Structure* snap = structure_.load(std::memory_order_acquire);
+  size_t gid = 0;
   for (;;) {
-    Structure* snap = structure_.load(std::memory_order_acquire);
-    const Storage& st = *snap->storage;
-    size_t gid = have_cursor ? snap->index->Lookup(cursor) : 0;
-    bool restart = false;
-    for (; gid < snap->num_gates(); ++gid) {
-      Gate* gate = &snap->gates[gid];
-      uint64_t gate_sum = 0;
-      Key gate_high = kKeySentinel;
-      const OptGate r = TryOptimisticGateSum(*snap, *gate, cursor,
-                                             have_cursor, &gate_sum,
-                                             &gate_high);
-      if (r == OptGate::kRestart) {
-        guard.Refresh();
-        restart = true;
-        break;
-      }
-      if (r == OptGate::kFallback) {
-        stat_read_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-        TailEventRing::Global().RecordInstant(TailEvent::kReadFallback);
-        if (gate->ReaderAccess(nullptr) == GateAccess::kInvalidated) {
-          guard.Refresh();
-          restart = true;
-          break;
-        }
-        gate_sum = 0;
+    uint64_t gate_sum = 0;
+    Key gate_high = kKeySentinel;
+    OptGate r = TryOptimisticGateSum(*snap, &gid, next, &gate_sum,
+                                     &gate_high);
+    if (r == OptGate::kOk) ++gate_reads;
+    if (r == OptGate::kFallback) {
+      stat_read_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+      TailEventRing::Global().RecordInstant(TailEvent::kReadFallback);
+      if (ReadLatchGateOf(snap, &gid, next) == GateAccess::kInvalidated) {
+        r = OptGate::kRestart;
+      } else {
+        Gate* gate = &snap->gates[gid];
+        const Storage& st = *snap->storage;
         for (size_t s = gate->seg_begin(); s < gate->seg_end(); ++s) {
           // Prefetch stays inside the gate: card(s+1) in a foreign gate
           // would race with its writer outside any validated window.
@@ -818,181 +823,219 @@ uint64_t ConcurrentPMA::SumAll() const {
           }
           const Item* seg = st.segment(s);
           const uint32_t card = st.card(s);
-          uint32_t i = 0;
-          if (have_cursor) {
-            i = static_cast<uint32_t>(SegmentLowerBound(seg, card, cursor));
-            if (i < card && seg[i].key == cursor) ++i;  // strictly after
+          for (size_t i = SegmentLowerBound(seg, card, next); i < card; ++i) {
+            gate_sum += seg[i].value;
           }
-          for (; i < card; ++i) gate_sum += seg[i].value;
         }
         gate_high = gate->high_fence();
         gate->ReaderRelease();
       }
-      sum += gate_sum;
-      // Advance-only: a stale index descent after a restart can land
-      // left of the cursor's gate, whose high fence is smaller — moving
-      // the cursor backwards would re-admit already-folded keys.
-      if (!have_cursor || gate_high > cursor) cursor = gate_high;
-      have_cursor = true;
     }
-    if (!restart) return sum;
-  }
-}
-
-ConcurrentPMA::OptGate ConcurrentPMA::TryOptimisticGateCopy(
-    const Structure& snap, const Gate& gate, Key cursor, Key max,
-    std::vector<Item>* out, Key* gate_high) const {
-  const Storage& st = *snap.storage;
-  const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
-  for (int attempt = 0; attempt < optimistic_retries_; ++attempt) {
-    const uint64_t v = gate.version().ReadBegin();
-    if (!SeqVersion::Stable(v)) continue;
-    if (gate.invalidated_relaxed()) return OptGate::kRestart;
-    const Key hi = gate.high_fence();
-    out->clear();
-    bool ok = true;
-    for (size_t s = gate.seg_begin(); s < gate.seg_end(); ++s) {
-      if (s + 1 < gate.seg_end()) {
-        hotpath::PrefetchSegment(st.segment(s + 1), st.card(s + 1));
-      }
-      const Item* seg = st.segment(s);
-      const uint32_t card = std::min(st.card(s), B);
-      // Stage only [cursor, ...]: a narrow range scan must not pay a
-      // whole-chunk copy (the pre-optimistic path emitted from the
-      // per-segment lower bound too).
-      const uint32_t i0 = static_cast<uint32_t>(
-          hotpath::TaggedSegmentLowerBound(seg, card, cursor));
-      if (i0 < card) {
-        const size_t base = out->size();
-        out->resize(base + (card - i0));
-        hotpath::TaggedReadItems(out->data() + base, seg + i0, card - i0);
-      }
-      // Segment-copy granularity: a failed window never stages more
-      // than one segment of torn data before being discarded.
-      if (!gate.version().Validate(v)) {
-        ok = false;
-        break;
-      }
-      // Validated tail already past `max`: later segments only hold
-      // greater keys, stop staging (the emitter trims the overshoot).
-      if (!out->empty() && out->back().key > max) break;
+    if (r == OptGate::kRestart) {
+      guard.Refresh();
+      snap = structure_.load(std::memory_order_acquire);
+      gid = snap->index->Lookup(next);
+      continue;
     }
-    if (!ok) continue;
-    stat_optimistic_gate_reads_.fetch_add(1, std::memory_order_relaxed);
-    *gate_high = hi;
-    return OptGate::kOk;
+    sum += gate_sum;
+    // No key lies above kKeyMax; the last gate's high fence is the
+    // sentinel, so this also ends the walk there.
+    if (gate_high >= kKeyMax) break;
+    next = gate_high + 1;
+    ++gid;
   }
-  return OptGate::kFallback;
-}
-
-void ConcurrentPMA::CopyGateLatched(const Structure& snap, const Gate& gate,
-                                    Key cursor, Key max,
-                                    std::vector<Item>* out) const {
-  const Storage& st = *snap.storage;
-  out->clear();
-  for (size_t s = gate.seg_begin(); s < gate.seg_end(); ++s) {
-    if (s + 1 < gate.seg_end()) {
-      hotpath::PrefetchSegment(st.segment(s + 1), st.card(s + 1));
-    }
-    const Item* seg = st.segment(s);
-    const uint32_t card = st.card(s);
-    const size_t i0 = SegmentLowerBound(seg, card, cursor);
-    out->insert(out->end(), seg + i0, seg + card);
-    if (!out->empty() && out->back().key > max) break;
+  if (gate_reads != 0) {
+    stat_optimistic_gate_reads_.fetch_add(gate_reads,
+                                          std::memory_order_relaxed);
   }
+  return sum;
 }
 
 ConcurrentPMA::ScanCursor::ScanCursor(const ConcurrentPMA& pma, Key min,
                                       Key max)
-    : pma_(pma), guard_(pma.gc_), max_(max), cursor_(min), done_(min > max) {}
+    : pma_(pma),
+      guard_(pma.gc_),
+      max_(max),
+      next_(min),
+      done_(min > max),
+      snap_(pma.structure_.load(std::memory_order_acquire)),
+      gid_(snap_->index->Lookup(min)) {}
 
-bool ConcurrentPMA::ScanCursor::NextChunk(std::vector<Item>* out) {
-  out->clear();
-  if (done_) return false;
-  // The body is the former Scan() loop with emission replaced by a
-  // return: each call stages one gate's chunk (validated seqlock window
-  // or latched fallback) into `chunk_`, trims it to the still-pending
-  // range, and hands the trimmed run to the caller. Callers therefore
-  // consume items outside every latch and validation window, exactly
-  // like Scan callbacks did. On a failed validation the cursor restarts
-  // from a fresh snapshot; `out` is still empty at that point (we
-  // return as soon as it is filled), so no chunk is ever re-delivered.
-  for (;;) {
-    Structure* snap = pma_.structure_.load(std::memory_order_acquire);
-    size_t gid = snap->index->Lookup(cursor_);
-    bool restart = false;
-    for (; gid < snap->num_gates(); ++gid) {
-      Gate* gate = &snap->gates[gid];
-      Key gate_high = kKeySentinel;
-      const OptGate r = pma_.TryOptimisticGateCopy(*snap, *gate, cursor_,
-                                                   max_, &chunk_, &gate_high);
-      if (r == OptGate::kRestart) {
-        guard_.Refresh();
-        restart = true;
-        break;
-      }
-      if (r == OptGate::kFallback) {
-        pma_.stat_read_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-        TailEventRing::Global().RecordInstant(TailEvent::kReadFallback);
-        if (gate->ReaderAccess(nullptr) == GateAccess::kInvalidated) {
-          guard_.Refresh();
-          restart = true;
-          break;
-        }
-        pma_.CopyGateLatched(*snap, *gate, cursor_, max_, &chunk_);
-        gate_high = gate->high_fence();
-        gate->ReaderRelease();
-      }
-      // Trim the staged (validated or latched) copy to the pending
-      // range: strictly after the cursor once it was delivered, and
-      // nothing past max.
-      size_t i = static_cast<size_t>(
-          std::lower_bound(chunk_.begin(), chunk_.end(), cursor_,
-                           [](const Item& a, Key k) { return a.key < k; }) -
-          chunk_.begin());
-      if (consumed_cursor_ && i < chunk_.size() && chunk_[i].key == cursor_) {
-        ++i;
-      }
-      size_t j = i;
-      while (j < chunk_.size() && chunk_[j].key <= max_) ++j;
-      const bool past_max = j < chunk_.size();  // saw a key > max
-      if (i < j) {
-        out->assign(chunk_.begin() + static_cast<ptrdiff_t>(i),
-                    chunk_.begin() + static_cast<ptrdiff_t>(j));
-        cursor_ = chunk_[j - 1].key;
-        consumed_cursor_ = true;
-      }
-      if (past_max || gate_high >= max_) {
-        done_ = true;  // gates right of here exceed max
-        return !out->empty();
-      }
-      // Resume from the validated fence: the next gate's keys are all
-      // greater, and a restart re-enters past this chunk. Advance-only
-      // (see SumAll): never move the cursor backwards off a stale gate.
-      if (gate_high > cursor_ ||
-          (!consumed_cursor_ && gate_high == cursor_)) {
-        cursor_ = gate_high;
-        consumed_cursor_ = true;
-      }
-      if (!out->empty()) return true;
-    }
-    if (!restart) {
-      done_ = true;
-      return !out->empty();
-    }
+ConcurrentPMA::ScanCursor::~ScanCursor() {
+  if (optimistic_gate_reads_ != 0) {
+    pma_.stat_optimistic_gate_reads_.fetch_add(optimistic_gate_reads_,
+                                               std::memory_order_relaxed);
   }
 }
 
-void ConcurrentPMA::Scan(Key min, Key max, const ScanCallback& cb) const {
-  // Thin wrapper over the pull cursor (ISSUE 8) so the existing scan
-  // tests cover the chunk decomposition the sharded merge relies on.
-  ScanCursor cursor(*this, min, max);
-  std::vector<Item> chunk;
-  while (cursor.NextChunk(&chunk)) {
-    for (const Item& it : chunk) {
-      if (!cb(it.key, it.value)) return;
+bool ConcurrentPMA::ScanCursor::NextChunk(std::vector<Item>* out) {
+  out->clear();
+  // Failed windows and fence walks burn the retry budget; reaching a
+  // new gate or a restart refills it.
+  int failures = 0;
+  while (!done_) {
+    const Step step = failures < pma_.optimistic_retries_
+                          ? TryOptimisticStep(out)
+                          : LatchedStep(out);
+    if (step == Step::kDelivered) return true;
+    failures = step == Step::kFailed ? failures + 1 : 0;
+  }
+  return false;
+}
+
+void ConcurrentPMA::ScanCursor::Restart() {
+  guard_.Refresh();
+  snap_ = pma_.structure_.load(std::memory_order_acquire);
+  gid_ = snap_->index->Lookup(next_);
+  positioned_ = false;
+}
+
+ConcurrentPMA::ScanCursor::Step ConcurrentPMA::ScanCursor::TryOptimisticStep(
+    std::vector<Item>* out) {
+  const Storage& st = *snap_->storage;
+  const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
+  const Gate& gate = snap_->gates[gid_];
+  const uint64_t v = gate.version().ReadBegin();
+  size_t s;
+  Key hi;
+  bool cut;  // next_ may fall inside segment s: start at its lower bound
+  if (positioned_ && v == ver_) {
+    // Unchanged since the last run: the gate's keys >= next_ start at
+    // seg_, no descent or locate needed.
+    s = seg_;
+    hi = high_;
+    cut = false;
+  } else {
+    positioned_ = false;
+    if (!SeqVersion::Stable(v)) return Step::kFailed;
+    if (gate.invalidated_relaxed()) {
+      Restart();
+      return Step::kAdvanced;
+    }
+    const Key lo = gate.low_fence();
+    hi = gate.high_fence();
+    if (next_ < lo || next_ > hi) {
+      // Never trust the descent alone: walk by validated fences, as
+      // TryOptimisticFind does. A walk burns an attempt, which bounds
+      // fence ping-pong under churn.
+      if (!gate.version().Validate(v)) return Step::kFailed;
+      if (next_ < lo) {
+        if (gid_ > 0) --gid_;
+      } else if (gid_ + 1 < snap_->num_gates()) {
+        ++gid_;
+      }
+      return Step::kFailed;
+    }
+    s = pma_.LocateSegmentOptimistic(*snap_, gate, next_);
+    cut = true;
+  }
+  for (; s < gate.seg_end(); ++s, cut = false) {
+    const Item* seg = st.segment(s);
+    const uint32_t card = std::min(st.card(s), B);
+    const uint32_t i0 =
+        cut ? static_cast<uint32_t>(
+                  hotpath::TaggedSegmentLowerBound(seg, card, next_))
+            : 0;
+    if (i0 < card) {
+      out->resize(card - i0);
+      hotpath::TaggedReadItems(out->data(), seg + i0, card - i0);
+      if (s + 1 < gate.seg_end()) {
+        hotpath::PrefetchSegment(st.segment(s + 1), st.card(s + 1));
+      }
+      break;
     }
   }
+  if (!gate.version().Validate(v)) {
+    out->clear();
+    positioned_ = false;
+    return Step::kFailed;
+  }
+  if (!positioned_) ++optimistic_gate_reads_;
+  return Deliver(s, v, hi, out);
+}
+
+ConcurrentPMA::ScanCursor::Step ConcurrentPMA::ScanCursor::LatchedStep(
+    std::vector<Item>* out) {
+  pma_.stat_read_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+  TailEventRing::Global().RecordInstant(TailEvent::kReadFallback);
+  positioned_ = false;
+  if (pma_.ReadLatchGateOf(snap_, &gid_, next_) == GateAccess::kInvalidated) {
+    Restart();
+    return Step::kAdvanced;
+  }
+  Gate* gate = &snap_->gates[gid_];
+  const Storage& st = *snap_->storage;
+  size_t s = pma_.LocateSegment(*snap_, *gate, next_);
+  for (bool cut = true; s < gate->seg_end(); ++s, cut = false) {
+    const Item* seg = st.segment(s);
+    const uint32_t card = st.card(s);
+    const size_t i0 = cut ? SegmentLowerBound(seg, card, next_) : 0;
+    if (i0 < card) {
+      out->assign(seg + i0, seg + card);
+      break;
+    }
+  }
+  // The READ latch excludes every mutator, so this version is the one
+  // the copy was made under; the next step may continue from it.
+  const uint64_t v = gate->version().ReadBegin();
+  const Key hi = gate->high_fence();
+  gate->ReaderRelease();
+  return Deliver(s, v, hi, out);
+}
+
+ConcurrentPMA::ScanCursor::Step ConcurrentPMA::ScanCursor::Deliver(
+    size_t s, uint64_t version, Key high, std::vector<Item>* out) {
+  if (s == snap_->gates[gid_].seg_end()) {
+    // No key of the gate from next_ to its high fence: on to the next
+    // gate (the last gate's high fence, the sentinel, exceeds max_).
+    positioned_ = false;
+    if (high >= max_) {
+      done_ = true;
+    } else {
+      next_ = high + 1;
+      ++gid_;
+    }
+    return Step::kAdvanced;
+  }
+  const Key last = out->back().key;
+  if (last >= max_) {
+    done_ = true;
+    positioned_ = false;
+    if (last > max_) {
+      out->resize(static_cast<size_t>(
+          std::upper_bound(out->begin(), out->end(), max_,
+                           [](Key k, const Item& it) { return k < it.key; }) -
+          out->begin()));
+    }
+    return out->empty() ? Step::kAdvanced : Step::kDelivered;
+  }
+  next_ = last + 1;
+  positioned_ = true;
+  seg_ = s + 1;
+  ver_ = version;
+  high_ = high;
+  return Step::kDelivered;
+}
+
+void ConcurrentPMA::Scan(Key min, Key max, const ScanCallback& cb) const {
+  // Runs land in one buffer per thread, reused across calls, so a scan
+  // allocates nothing in steady state. A Scan nested in `cb` finds the
+  // buffer moved out and works on a fresh one.
+  thread_local std::vector<Item> tls_run;
+  std::vector<Item> run = std::move(tls_run);
+  {
+    ScanCursor cursor(*this, min, max);
+    bool more = true;
+    while (more && cursor.NextChunk(&run)) {
+      for (const Item& it : run) {
+        if (!cb(it.key, it.value)) {
+          more = false;
+          break;
+        }
+      }
+    }
+  }
+  tls_run = std::move(run);
 }
 
 // ------------------------------------------------- storage observability

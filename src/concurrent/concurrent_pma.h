@@ -16,7 +16,7 @@
 //   5. writers finding an active writer on the gate append their update
 //      to its combining queue and return (async modes).
 //
-// Reader protocol (ISSUE 4 — optimistic, normally latch-free): readers
+// Reader protocol (optimistic, normally latch-free): readers
 // run the same descent but, instead of taking the READ latch, snapshot
 // the gate's sequence-lock version word (gate.h (f)):
 //   1. enter an epoch; load the snapshot; index descent -> candidate;
@@ -25,22 +25,27 @@
 //   4. read the fence keys and — only after re-validating the version,
 //      which proves the [low, high] pair was untorn — walk to the
 //      neighbour gate on mismatch, exactly like the latched descent;
-//   5. run the SIMD segment search / scan copy directly on the live
-//      storage with tagged accesses (common/tagged.h); multi-gate scans
-//      stage one chunk at a time and re-validate at *segment-copy*
-//      granularity so a failed window discards at most one segment;
+//   5. run the SIMD segment search / segment copy directly on the live
+//      storage with tagged accesses (common/tagged.h);
 //   6. validate the version; on success the read linearizes at the
 //      validation point. On failure retry; after
-//      `ConcurrentConfig::optimistic_retries` failed windows per gate
-//      (env override CPMA_OPTIMISTIC_RETRIES; 0 forces fallback) fall
-//      back to the blocking READ latch — the pre-ISSUE-4 path, kept
-//      bit-for-bit so the forced-fallback mode is the old protocol.
-// Scans resume from the last *validated* fence key: a gate that
-// validates contributes its whole chunk and advances the cursor to its
-// high fence, so a restart (resize) or fallback never re-reads chunks
-// that already validated. Epoch pinning keeps a rewired/retired storage
-// alive across the validation window, so torn reads are bounded but
-// never wild. Memory-ordering argument: SeqVersion in common/latches.h.
+//      `ConcurrentConfig::optimistic_retries` failed windows (env
+//      override CPMA_OPTIMISTIC_RETRIES; 0 forces fallback) fall back
+//      to the blocking READ latch — the latched protocol, so the
+//      forced-fallback mode is the pre-optimistic protocol.
+// Scans (ScanCursor) deliver one segment run per step: the keys from
+// the resume key — one past the last delivered key — to the end of
+// that segment, each run validated in its own window. Every step first
+// proves the resume key lies inside the gate's validated fences and
+// walks left or right when it does not, so a run validated at time t is
+// exactly the gate's keys in [resume, run end] at t and no key a
+// rebalance moved across a fence is ever skipped: a key present for the
+// whole scan is delivered exactly once. While the gate's version is
+// unchanged the next step continues at the next segment without a
+// descent; otherwise it relocates from the resume key. Epoch pinning
+// keeps a rewired/retired storage alive across the validation window,
+// so torn reads are bounded but never wild. Memory-ordering argument:
+// SeqVersion in common/latches.h.
 //
 // Updates may therefore complete asynchronously; Flush() waits until all
 // queued work (including rebalancer batches) has been applied.
@@ -143,35 +148,61 @@ class ConcurrentPMA : public OrderedMap {
   /// array order; `ops[i].seq` is overwritten.
   void UpdateBatch(GateOp* ops, size_t n);
 
-  /// Pull-based ordered read cursor (ISSUE 8): the per-gate chunk loop
-  /// of Scan() exposed as an explicit cursor, so a consumer can merge
-  /// several PMAs' streams (the sharded front end's k-way scan merge)
-  /// without inverting control through callbacks. Each NextChunk()
-  /// delivers the next validated run of items in (last delivered,
-  /// max] — one gate's chunk, staged under the same optimistic
-  /// seqlock/fallback protocol as Scan and trimmed to the range — or
-  /// returns false when the range is exhausted. The cursor pins its
-  /// epoch for its whole lifetime; hold it only for the duration of a
-  /// scan pass.
+  /// Pull-based ordered read cursor: the segment loop of Scan()
+  /// exposed as an explicit cursor, so a consumer can merge several
+  /// PMAs' streams (the sharded front end's k-way scan merge) without
+  /// inverting control through callbacks. Each NextChunk() delivers
+  /// one validated segment run in [resume key, max] — at most
+  /// `segment_capacity` items, copied once into the caller's buffer —
+  /// or returns false when the range is exhausted. The resume key is
+  /// one past the last delivered key, so every key present for the
+  /// cursor's whole lifetime is delivered exactly once, in ascending
+  /// order, however fences move in between (see the reader protocol
+  /// above). The cursor pins its epoch for its whole lifetime; hold it
+  /// only for the duration of a scan pass.
   class ScanCursor {
    public:
     ScanCursor(const ConcurrentPMA& pma, Key min, Key max);
+    ~ScanCursor();
 
     ScanCursor(const ScanCursor&) = delete;
     ScanCursor& operator=(const ScanCursor&) = delete;
 
-    /// Fill `out` with the next chunk (ascending keys, all in range,
+    /// Fill `out` with the next run (ascending keys, all in range,
     /// non-empty on true). False = range exhausted; `out` is cleared.
     bool NextChunk(std::vector<Item>* out);
 
    private:
+    enum class Step { kDelivered, kAdvanced, kFailed };
+    // One optimistic step: continue at seg_ while the gate's version is
+    // still ver_, else locate next_ in a validated window (walking by
+    // fences). kFailed burns one unit of the retry budget.
+    Step TryOptimisticStep(std::vector<Item>* out);
+    // The blocking fallback: the same step under the gate's READ latch.
+    Step LatchedStep(std::vector<Item>* out);
+    // Bookkeeping after a run of gate gid_ was read in a stable window
+    // (validated, or under the latch) at `version`; `s` is the run's
+    // segment, or seg_end when the gate holds nothing from next_ on.
+    Step Deliver(size_t s, uint64_t version, Key high,
+                 std::vector<Item>* out);
+    // A resize retired snap_: re-enter the epoch and descend afresh.
+    void Restart();
+
     const ConcurrentPMA& pma_;
     EpochGuard guard_;
     const Key max_;
-    Key cursor_;
-    bool consumed_cursor_ = false;
-    bool done_ = false;
-    std::vector<Item> chunk_;  // per-gate staging, reused across calls
+    Key next_;  // resume key: [min, next_) is delivered
+    bool done_;
+    Structure* snap_;
+    size_t gid_;  // gate to try next_ in (a hint until positioned_)
+    // Position from the last delivery: at version ver_, gate gid_ held
+    // next_ within its fences and its keys >= next_ in segments seg_
+    // onward; high_ is its high fence at ver_.
+    bool positioned_ = false;
+    size_t seg_ = 0;
+    uint64_t ver_ = 0;
+    Key high_ = 0;
+    uint64_t optimistic_gate_reads_ = 0;  // published by the destructor
   };
   size_t Size() const override {
     return count_.load(std::memory_order_relaxed);
@@ -199,16 +230,19 @@ class ConcurrentPMA : public OrderedMap {
     return stat_batches_.load(std::memory_order_relaxed);
   }
 
-  /// Times a read (Find, or one gate of a Scan/SumAll) exhausted its
-  /// optimistic retry budget and took the blocking READ latch. Zero
-  /// under quiescence proves the optimistic path carried every read;
-  /// the forced-fallback mode (retry budget 0) counts every read here.
+  /// Times a read (Find, one segment run of a Scan, one gate of a
+  /// SumAll) exhausted its optimistic retry budget and took the
+  /// blocking READ latch. Zero under quiescence proves the optimistic
+  /// path carried every read; the forced-fallback mode (retry budget
+  /// 0) counts every read here.
   uint64_t num_read_fallbacks() const {
     return stat_read_fallbacks_.load(std::memory_order_relaxed);
   }
 
-  /// Gate chunks served latch-free by validated optimistic scan windows
-  /// (Scan/SumAll; Find avoids a shared counter on its hot path).
+  /// Gate visits served latch-free by validated optimistic scan windows
+  /// (Scan/SumAll; Find avoids a shared counter on its hot path). Each
+  /// Scan, ScanCursor and SumAll tallies its visits locally and adds
+  /// them here once, when it finishes.
   uint64_t num_optimistic_gate_reads() const {
     return stat_optimistic_gate_reads_.load(std::memory_order_relaxed);
   }
@@ -393,24 +427,20 @@ class ConcurrentPMA : public OrderedMap {
   OptRead TryOptimisticFind(const Structure& snap, Key key,
                             Value* value) const;
 
-  /// One budget-bounded optimistic visit of a gate's chunk, staging
-  /// only items in [cursor, ...] and stopping past `max`. kOk hands
-  /// the caller validated data plus the gate's high fence (the scan
-  /// resume point); kFallback means the budget is spent (take the READ
-  /// latch); kRestart means the snapshot was retired.
-  enum class OptGate { kOk, kFallback, kRestart };
-  OptGate TryOptimisticGateCopy(const Structure& snap, const Gate& gate,
-                                Key cursor, Key max, std::vector<Item>* out,
-                                Key* gate_high) const;
-  OptGate TryOptimisticGateSum(const Structure& snap, const Gate& gate,
-                               Key cursor, bool have_cursor,
-                               uint64_t* sum_out, Key* gate_high) const;
+  /// Blocking-path descent: take the READ latch of the gate holding
+  /// `key`, starting at *gid and walking by fences. kOwner leaves *gid
+  /// latched (caller releases); kInvalidated means restart.
+  GateAccess ReadLatchGateOf(Structure* snap, size_t* gid, Key key) const;
 
-  /// Blocking-path helper: stage a latched gate's chunk (range-bounded
-  /// like TryOptimisticGateCopy) for emission outside the latch, so
-  /// user callbacks run latch-free in both modes.
-  void CopyGateLatched(const Structure& snap, const Gate& gate, Key cursor,
-                       Key max, std::vector<Item>* out) const;
+  /// One budget-bounded optimistic visit of the gate holding `next`
+  /// (starting at *gid, walking by validated fences), summing the
+  /// values of its keys >= next. kOk hands the caller the sum, the
+  /// gate's high fence and the visited gate in *gid; kFallback means
+  /// the budget is spent (take the READ latch); kRestart means the
+  /// snapshot was retired.
+  enum class OptGate { kOk, kFallback, kRestart };
+  OptGate TryOptimisticGateSum(const Structure& snap, size_t* gid, Key next,
+                               uint64_t* sum_out, Key* gate_high) const;
 
   /// True if the effective spread policy is adaptive (paper: one-by-one
   /// leverages adaptive rebalancing, batch uses traditional).

@@ -294,24 +294,36 @@ void PMASnapshot::Scan(Key min, Key max,
   std::vector<uint32_t> cards;
   Key low, high;
   const size_t B = snap_->storage->segment_capacity();
-  for (size_t g = 0; g < num_gates_; ++g) {
+  // Seek to min's gate as Find does: the live index is only a hint, the
+  // frozen fences of the cut decide.
+  size_t g = std::min(snap_->index->Lookup(min), num_gates_ - 1);
+  MaterializeGate(g, &scratch, &cards, &low, &high);
+  for (size_t steps = 0; steps < num_gates_; ++steps) {
+    if (min < low && g > 0) {
+      --g;
+    } else if (min > high && g + 1 < num_gates_) {
+      ++g;
+    } else {
+      break;
+    }
     MaterializeGate(g, &scratch, &cards, &low, &high);
-    if (high < min) continue;  // entire chunk below the range
+  }
+  for (;;) {
     const Item* items = reinterpret_cast<const Item*>(scratch.data());
+    const bool cut = min > low;  // only min's own gate holds keys < min
     for (size_t s = 0; s < cards.size(); ++s) {
       const Item* seg = items + s * B;
       const uint32_t card = cards[s];
-      uint32_t i = 0;
-      if (min != kKeyMin) {
-        i = static_cast<uint32_t>(
-            hotpath::SegmentLowerBound(seg, card, min));
-      }
+      uint32_t i = cut ? static_cast<uint32_t>(
+                             hotpath::SegmentLowerBound(seg, card, min))
+                       : 0;
       for (; i < card; ++i) {
         if (seg[i].key > max) return;
         if (!cb(seg[i].key, seg[i].value)) return;
       }
     }
-    if (low > max || high >= max) return;  // gates right of here exceed max
+    if (high >= max || ++g >= num_gates_) return;
+    MaterializeGate(g, &scratch, &cards, &low, &high);
   }
 }
 

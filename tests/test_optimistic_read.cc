@@ -16,6 +16,9 @@
 //    global rebalances plus resizes under running scans; scans must
 //    stay sorted, duplicate-free and value-consistent while fences
 //    move beneath them.
+//  - ShortScansCompleteUnderAppends: short scans at the appended right
+//    edge, where rebalances move fences constantly, return every key
+//    inserted before they began — none skipped across a moved fence.
 //  - ForcedFallback*: CPMA_OPTIMISTIC_RETRIES=0 disables the optimistic
 //    path; the blocking latch protocol must pass the same checks, and
 //    the fallback counter proves which path served the reads.
@@ -24,13 +27,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/latches.h"
+#include "common/random.h"
 #include "concurrent/concurrent_pma.h"
 #include "concurrent/gate.h"
 
@@ -237,6 +243,79 @@ TEST(OptimisticRead, ScanDuringFenceMovingRebalance) {
   // The array grew through resizes; the global rebalance machinery must
   // actually have run for this test to mean anything.
   EXPECT_GT(pma.num_resizes() + pma.num_global_rebalances(), 0u);
+}
+
+// Scan completeness at the moving right edge: appenders keep the last
+// gates rebalancing (fences move under the scanners), while short scans
+// start just below the frontier every key of which was inserted before
+// the scan began. Such keys are present for the scan's whole lifetime,
+// so the scan must return them all, consecutively, up to its length —
+// a cursor that trusted a stale gate's fences would skip the keys a
+// rebalance moved out of that gate.
+TEST(OptimisticRead, ShortScansCompleteUnderAppends) {
+  ConcurrentPMA pma(SmallGateConfig(ConcurrentConfig::AsyncMode::kSync));
+  constexpr Key kPreload = 200000;
+  constexpr int kAppenders = 2;
+  for (Key k = 1; k <= kPreload; ++k) pma.Insert(k, ValueFor(k));
+  pma.Flush();
+
+  // Appender t inserts kPreload + 1 + t + i * kAppenders in order and
+  // publishes how many it finished; every key at or below frontier()
+  // was therefore inserted before the caller read the counters.
+  std::atomic<uint64_t> appended[kAppenders] = {};
+  auto frontier = [&] {
+    uint64_t rounds = UINT64_MAX;
+    for (const auto& a : appended) {
+      rounds = std::min(rounds, a.load(std::memory_order_acquire));
+    }
+    return kPreload + rounds * kAppenders;
+  };
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kAppenders; ++t) {
+    threads.emplace_back([&, t] {
+      for (uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        const Key k = kPreload + 1 + static_cast<Key>(t) + i * kAppenders;
+        pma.Insert(k, ValueFor(k));
+        appended[t].store(i + 1, std::memory_order_release);
+      }
+    });
+  }
+  std::atomic<uint64_t> scans{0}, gapped{0}, bad{0};
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      Random rng(0x5CA4 + static_cast<uint64_t>(t));
+      while (!stop.load(std::memory_order_relaxed)) {
+        const Key edge = frontier();
+        const Key start = edge - rng.NextBounded(512);
+        const uint64_t len = 1 + rng.NextBounded(100);
+        const uint64_t want = std::min<uint64_t>(len, edge - start + 1);
+        uint64_t got = 0;
+        Key prev = start - 1;
+        bool gap = false;
+        pma.Scan(start, kKeyMax, [&](Key k, Value v) {
+          if (k <= prev || v != ValueFor(k)) {
+            bad.fetch_add(1, std::memory_order_relaxed);
+          } else if (k <= edge && k != prev + 1) {
+            gap = true;
+          }
+          prev = k;
+          return ++got < len;
+        });
+        if (got < want) gap = true;
+        gapped.fetch_add(gap, std::memory_order_relaxed);
+        scans.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::seconds(3));
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(gapped.load(), 0u) << "of " << scans.load() << " scans";
+  EXPECT_GT(scans.load(), 0u);
+  EXPECT_GT(frontier(), kPreload);  // the appenders moved the edge
 }
 
 TEST(OptimisticRead, ForcedFallbackMatchesBlocking) {

@@ -10,7 +10,10 @@
 //  - Router*: range partition edge cases (domain ends, custom splitter
 //    boundaries, monotonicity), hash partition coverage + stability.
 //  - ScanCursor*: the pull-based chunk cursor underlying the merge —
-//    concatenated chunks == the sorted range, trimming, empty ranges.
+//    concatenated chunks == the sorted range, one segment run per
+//    chunk, trimming, empty ranges, resuming from the last delivered
+//    key after an insert, nested scans, and the forced-fallback path
+//    delivering the same runs.
 //  - UpdateBatch*: block stamp reservation applies a producer-ordered
 //    run exactly like one-by-one issue (same-key runs: last op wins).
 //  - Coalescing*: staged ops are invisible until a size/age/Flush
@@ -143,7 +146,9 @@ TEST(Router, HashCoversAllShardsAndIsStable) {
 // --------------------------------------------------------- scan cursor
 
 TEST(ScanCursor, ChunksConcatenateToTheSortedRange) {
-  ConcurrentPMA pma(TinyShard(ConcurrentConfig::AsyncMode::kSync));
+  ConcurrentConfig cfg = TinyShard(ConcurrentConfig::AsyncMode::kSync);
+  cfg.segments_per_gate = 8;  // a gate holds many segments' worth
+  ConcurrentPMA pma(cfg);
   std::vector<Key> keys;
   for (Key k = 10; k <= 1000; k += 10) {
     keys.push_back(k);
@@ -156,6 +161,8 @@ TEST(ScanCursor, ChunksConcatenateToTheSortedRange) {
   std::vector<Item> all;
   while (cur.NextChunk(&chunk)) {
     ASSERT_FALSE(chunk.empty()) << "NextChunk returned true with no items";
+    // One segment run per chunk, never a gate's worth.
+    ASSERT_LE(chunk.size(), pma.config().pma.segment_capacity);
     all.insert(all.end(), chunk.begin(), chunk.end());
   }
   ASSERT_EQ(all.size(), keys.size());
@@ -197,6 +204,88 @@ TEST(ScanCursor, EmptyAndInvertedRanges) {
     ConcurrentPMA::ScanCursor cur(pma, 101, 99999);  // nothing in range
     EXPECT_FALSE(cur.NextChunk(&chunk));
   }
+}
+
+TEST(ScanCursor, ResumesFromTheLastDeliveredKey) {
+  ConcurrentPMA pma(TinyShard(ConcurrentConfig::AsyncMode::kSync));
+  std::set<Key> expect;
+  for (Key k = 10; k <= 400; k += 10) {
+    pma.Insert(k, k);
+    expect.insert(k);
+  }
+  pma.Flush();
+
+  ConcurrentPMA::ScanCursor cur(pma, kKeyMin, kKeyMax);
+  std::vector<Item> chunk;
+  ASSERT_TRUE(cur.NextChunk(&chunk));
+  std::vector<Key> got;
+  for (const Item& it : chunk) got.push_back(it.key);
+  const Key last = got.back();
+  // Both land in the gate the cursor stands in: the gap above `last`
+  // is still ahead of the cursor, the one below it is behind.
+  pma.Insert(last + 5, last + 5);
+  pma.Insert(last - 5, last - 5);
+  pma.Flush();
+  while (cur.NextChunk(&chunk)) {
+    for (const Item& it : chunk) got.push_back(it.key);
+  }
+  expect.insert(last + 5);
+  EXPECT_EQ(std::vector<Key>(expect.begin(), expect.end()), got);
+}
+
+TEST(ScanCursor, NestedScanReturnsItsOwnItems) {
+  ConcurrentPMA pma(TinyShard(ConcurrentConfig::AsyncMode::kSync));
+  for (Key k = 1; k <= 300; ++k) pma.Insert(k, k * 3);
+  pma.Flush();
+
+  // Each outer item opens an inner scan from the same thread; the two
+  // must not share a run buffer.
+  Key expect_outer = 50;
+  bool ok = true;
+  pma.Scan(50, 250, [&](Key k, Value v) {
+    ok = ok && k == expect_outer++ && v == k * 3;
+    Key expect_inner = k;
+    pma.Scan(k, k + 20, [&](Key ik, Value iv) {
+      ok = ok && ik == expect_inner++ && iv == ik * 3;
+      return true;
+    });
+    ok = ok && expect_inner == k + 21;
+    return true;
+  });
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(expect_outer, 251u);
+}
+
+TEST(ScanCursor, ForcedFallbackDeliversTheSameRuns) {
+  auto runs = [](ConcurrentPMA* pma) {
+    Random rng(41);
+    for (int i = 0; i < 2000; ++i) {
+      const Key k = 1 + rng.NextBounded(5000);
+      pma->Insert(k, k ^ 0x5A5A);
+    }
+    pma->Flush();
+    std::vector<std::vector<Item>> out;
+    ConcurrentPMA::ScanCursor cur(*pma, 700, 4300);
+    std::vector<Item> chunk;
+    while (cur.NextChunk(&chunk)) out.push_back(chunk);
+    return out;
+  };
+  ConcurrentPMA optimistic(TinyShard(ConcurrentConfig::AsyncMode::kSync));
+  const auto want = runs(&optimistic);
+  ScopedEnv env("CPMA_OPTIMISTIC_RETRIES", "0");
+  ConcurrentPMA blocking(TinyShard(ConcurrentConfig::AsyncMode::kSync));
+  ASSERT_EQ(blocking.optimistic_retries(), 0);
+  const auto got = runs(&blocking);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t r = 0; r < got.size(); ++r) {
+    ASSERT_EQ(got[r].size(), want[r].size()) << "run " << r;
+    for (size_t i = 0; i < got[r].size(); ++i) {
+      EXPECT_EQ(got[r][i].key, want[r][i].key);
+      EXPECT_EQ(got[r][i].value, want[r][i].value);
+    }
+  }
+  EXPECT_GT(blocking.num_read_fallbacks(), 0u);
+  EXPECT_EQ(blocking.num_optimistic_gate_reads(), 0u);
 }
 
 // -------------------------------------------------------- update batch

@@ -13,6 +13,9 @@
 //    across repeated reads while the live structure diverges (upserts,
 //    deletes, rebalances, resizes), and its scan_retries() counter
 //    stays 0 — the reader has no restart path, by construction.
+//  - RangeScansSeekThroughMovedFences: range scans seek to min's gate
+//    by the live index and walk the frozen fences from there; ranges at
+//    the start, middle and end match the oracle after fences moved.
 //  - Storm*: snapshots taken mid-write-storm are internally consistent:
 //    strictly ascending scans, self-consistent derived values, two
 //    passes identical, zero retries.
@@ -29,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -153,6 +157,50 @@ TEST(Snapshot, RangeScanRespectsBounds) {
   int n = 0;
   snap->Scan(kKeyMin, kKeyMax, [&](Key, Value) { return ++n < 3; });
   EXPECT_EQ(n, 3);
+}
+
+// Range scans seek to min's gate through the live index, which keeps
+// moving after capture; the frozen fences must correct the seek.
+TEST(Snapshot, RangeScansSeekThroughMovedFences) {
+  ConcurrentPMA pma(SmallConfig());
+  std::map<Key, Value> oracle;
+  for (Key k = 10; k <= 20000; k += 10) {
+    pma.Insert(k, k * 2);
+    oracle[k] = k * 2;
+  }
+  pma.Flush();
+  auto snap = pma.Snapshot();
+  const uint64_t global_before = pma.num_global_rebalances();
+  const uint64_t resizes_before = pma.num_resizes();
+  // A dense cluster in the middle: window rebalances move the live
+  // fences and index separators off the frozen ones, while the
+  // snapshot's structure stays the live one (no resize).
+  for (Key k = 9001; k < 9300; ++k) {
+    if (k % 10 != 0) pma.Insert(k, 1);
+  }
+  pma.Flush();
+  ASSERT_GT(pma.num_global_rebalances(), global_before);
+  ASSERT_EQ(pma.num_resizes(), resizes_before);
+
+  auto expect_range = [&](Key lo, Key hi) {
+    const std::vector<std::pair<Key, Value>> want(oracle.lower_bound(lo),
+                                                  oracle.upper_bound(hi));
+    std::vector<std::pair<Key, Value>> got;
+    snap->Scan(lo, hi, [&](Key k, Value v) {
+      got.emplace_back(k, v);
+      return true;
+    });
+    EXPECT_EQ(got, want) << "[" << lo << ", " << hi << "]";
+  };
+  expect_range(kKeyMin, 500);     // start
+  expect_range(8000, 10500);      // middle, across the moved fences
+  expect_range(19500, kKeyMax);   // end
+  Random rng(5);
+  for (int i = 0; i < 300; ++i) {
+    const Key lo = rng.NextBounded(21000);
+    expect_range(lo, lo + rng.NextBounded(3000));
+  }
+  EXPECT_EQ(snap->scan_retries(), 0u);
 }
 
 TEST(Snapshot, ManyOverlappingSnapshotsSeeTheirOwnCut) {
