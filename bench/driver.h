@@ -34,11 +34,6 @@
 #define CPMA_GIT_SHA "unknown"
 #endif
 
-// Feature macro for grafted bench sources (relative bench gate): a
-// driver.h with sampled latency histograms + placement fields defines
-// it; bench_*.cc grafted onto older trees stub the API out.
-#define CPMA_BENCH_LATENCY 1
-
 namespace cpma::bench {
 
 enum class Dist { kUniform, kZipf1, kZipf15, kZipf2 };

@@ -4,49 +4,52 @@
 Accepts the two JSON shapes the bench binaries emit (README Performance):
 
   - the flat record array written by the driver.h --json emitter
-    (bench_fig3/fig4/ablation/graph/rebalance): records are matched on
-    their identifying string/int fields, and the metric fields
-    (update_mops, scan_meps: higher is better) are compared;
+    (bench_fig3/fig4/ablation/graph/rebalance/ycsb): records are matched
+    on their identifying string/int fields, and the metric fields
+    (update_mops, ops_mops, scan_meps, sum_meps: higher is better) are
+    compared;
   - google-benchmark's native JSON (bench_micro --json): entries are
     matched on the benchmark name and cpu_time (lower is better) is
     compared.
 
 Usage:
   scripts/bench_diff.py BASELINE.json CANDIDATE.json [--check] [--threshold=10]
+  scripts/bench_diff.py B1.json,B2.json,B3.json C1.json,C2.json,C3.json --check
 
-With --check the exit status is non-zero when any metric regresses by
-more than the threshold (percent, default 10) — the guard used for the
-BENCH_PR*.json before/after tables.
+Each side is one bench JSON file or several joined with commas; records
+with the same identity pool their values in file order. When both sides
+hold the same number (more than one) of values for a metric, the values
+are paired rounds (scripts/bench_gate.sh runs the two sides of each
+workload back to back): the delta is the median of the per-round
+ratios, and a regression must also lose every round, which with no real
+difference happens with probability 2^-rounds (1/64 for six). Otherwise
+the medians are compared and the threshold alone decides. A metric
+regresses when its delta is worse than the threshold (percent, default
+10); with --check the exit status is then non-zero — the guard used for
+the BENCH_PR*.json before/after tables.
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 # Metric fields and their direction: +1 = higher is better, -1 = lower.
 METRICS = {
     "update_mops": +1,
     "scan_meps": +1,
+    "sum_meps": +1,
     "ops_mops": +1,
     "items_per_second": +1,
     "cpu_time": -1,
     "real_time": -1,
 }
 
-# Record fields that never identify a workload (environment/noise).
-# The storage/read-path observability fields (ISSUE 4: page size and
-# publish mechanism a run actually used, optimistic-path counters) are
-# measurements, not knobs — they must not split identities between runs
-# or between trees with/without the optimistic read path. The ebr_*
-# fields (ISSUE 6: epoch-reclamation counters) are likewise
-# measurements and non-gating.
+# Record fields that never identify a workload (environment/noise):
+# the build and timing stamps, and the observability counters the
+# drivers attach — measurements of what a run did, never knobs.
 VOLATILE = {
-    "git_sha", "dispatch", "seconds", "date", "items_per_rep",
-    "rewired", "rewiring_active", "page_bytes", "backing_page_bytes",
-    "num_remaps", "fallback_copies", "read_fallbacks",
-    "optimistic_gate_reads", "optimistic_retries", "reroutes",
-    "ebr_pending", "ebr_pending_bytes", "ebr_retired_bytes_hwm",
-    "ebr_epoch_advances", "ebr_collections",
+    "git_sha", "dispatch", "seconds", "items_per_rep",
     # Fault-tolerance observability (ISSUE 7): degradation counters a
     # healthy run reports as zeros/false — diagnostics for attributing a
     # perf delta to a degraded run, never part of a workload's identity.
@@ -55,30 +58,16 @@ VOLATILE = {
     # Placement observability (ISSUE 8): what the topology-aware pinner
     # saw on the host that ran the bench — environment, not workload.
     "host_cpus", "host_cores", "smt", "pin_order",
-    # Sharded front-end flush counters (ISSUE 8): how the coalescing
-    # front door behaved, not what was asked of it (the coalesce/age_ms
-    # knobs themselves stay identity fields).
-    "coalesced_flushes", "coalesced_ops", "age_flushes", "direct_ops",
-    # Durability-tier observability (ISSUE 9): snapshot/COW retention
-    # and the process-global checkpoint counters — measurements of what
-    # a run did, never part of a workload's identity. A nonzero
-    # restore_verify_failures disqualifies the run as a perf sample,
-    # which is exactly why it is reported.
-    "snapshots_open", "snapshots_taken", "cow_retained_bytes",
-    "checkpoint_bytes", "restore_verify_failures",
 }
 
-# Suffix/prefix families of volatile fields (ISSUE 8): per-op latency
-# percentiles and their sample counts (*_p50_ns/_p99_ns/_p999_ns,
-# *_lat_samples) are reported metrics-adjacent observability — noisy
-# between runs and absent on trees without the latency histograms, so
-# they must not split identities; agg_* / ebr_* are the sharded front
-# end's aggregated per-shard counters, measurements like their
-# un-aggregated ISSUE 4/6/7 counterparts above; tail_* / ev_* (ISSUE
-# 10) are the tail-attribution breakdown and the mechanism-event counts
-# the ring saw — what the structure did during the run, never identity.
+# Suffix/prefix families of volatile fields: per-op latency percentiles
+# and their sample counts (*_p50_ns/_p99_ns/_p999_ns, *_lat_samples)
+# are noisy between runs, so they must not split identities; ebr_* are
+# the epoch-reclamation counters; tail_* / ev_* are the tail-attribution
+# breakdown and the mechanism-event counts the ring saw — what the
+# structure did during the run, never identity.
 VOLATILE_SUFFIXES = ("_ns", "_lat_samples")
-VOLATILE_PREFIXES = ("agg_", "ebr_", "tail_", "ev_")
+VOLATILE_PREFIXES = ("ebr_", "tail_", "ev_")
 
 
 def is_volatile(field):
@@ -87,22 +76,21 @@ def is_volatile(field):
             or field.startswith(VOLATILE_PREFIXES))
 
 
-def load_records(path):
-    """Normalize a bench JSON file to {identity: {metric: value}}."""
+def load_records(path, out):
+    """Add a bench JSON file's metrics to {identity: {metric: [values]}}."""
     with open(path) as f:
         data = json.load(f)
-    out = {}
+
+    def add(ident, metrics):
+        for k, v in metrics.items():
+            out.setdefault(ident, {}).setdefault(k, []).append(v)
+
     if isinstance(data, dict) and "benchmarks" in data:
         for b in data["benchmarks"]:
-            ident = b.get("name", "?")
-            metrics = {
-                k: v
-                for k, v in b.items()
-                if k in METRICS and isinstance(v, (int, float)) and v != 0
-            }
-            if metrics:
-                out[ident] = metrics
-        return out
+            add(b.get("name", "?"),
+                {k: v for k, v in b.items()
+                 if k in METRICS and isinstance(v, (int, float)) and v != 0})
+        return
     if not isinstance(data, list):
         raise ValueError(f"{path}: unrecognized bench JSON shape")
     for rec in data:
@@ -114,8 +102,14 @@ def load_records(path):
                     metrics[k] = v
             elif not is_volatile(k):
                 ident_fields.append(f"{k}={v}")
-        if metrics:
-            out[" ".join(ident_fields)] = metrics
+        add(" ".join(ident_fields), metrics)
+
+
+def load_side(paths):
+    """Pool one side's comma-separated files into {identity: {metric: [v]}}."""
+    out = {}
+    for path in paths.split(","):
+        load_records(path, out)
     return out
 
 
@@ -129,8 +123,8 @@ def main():
                     help="regression threshold in percent (default 10)")
     args = ap.parse_args()
 
-    base = load_records(args.baseline)
-    cand = load_records(args.candidate)
+    base = load_side(args.baseline)
+    cand = load_side(args.candidate)
     common = [k for k in base if k in cand]
     if not common:
         print("bench_diff: no matching workloads between the two files",
@@ -140,21 +134,29 @@ def main():
     regressions = []
     width = max(len(k) for k in common)
     print(f"{'workload':<{width}}  {'metric':<16} {'baseline':>12} "
-          f"{'candidate':>12} {'delta':>8}")
+          f"{'candidate':>12} {'delta':>8}  rounds lost")
     for key in common:
         for metric, direction in METRICS.items():
             if metric not in base[key] or metric not in cand[key]:
                 continue
-            b, c = base[key][metric], cand[key][metric]
-            delta_pct = (c - b) / b * 100.0
+            bv, cv = base[key][metric], cand[key][metric]
+            b, c = statistics.median(bv), statistics.median(cv)
+            paired = len(bv) == len(cv) > 1
+            if paired:
+                ratios = [y / x for x, y in zip(bv, cv)]
+                delta_pct = (statistics.median(ratios) - 1) * 100.0
+                lost = sum((r - 1) * direction < 0 for r in ratios)
+            else:
+                delta_pct = (c - b) / b * 100.0
             # Positive `gain` means the candidate improved.
             gain = delta_pct * direction
             marker = ""
-            if gain < -args.threshold:
+            if gain < -args.threshold and (not paired or lost == len(bv)):
                 marker = "  << REGRESSION"
                 regressions.append((key, metric, delta_pct))
+            rounds = f"{lost}/{len(bv)}" if paired else "-"
             print(f"{key:<{width}}  {metric:<16} {b:>12.4g} {c:>12.4g} "
-                  f"{delta_pct:>+7.1f}%{marker}")
+                  f"{delta_pct:>+7.1f}%  {rounds:>6}{marker}")
 
     skipped_base = len(base) - len(common)
     skipped_cand = len(cand) - len(common)

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Bench regression gate (ISSUE 4): run the CI-scale read-path,
-# rebalance, sharded front-end, and YCSB standard-mix benchmarks and
-# fail on >threshold throughput regressions via scripts/bench_diff.py
-# --check, instead of waiting for someone to run the benches by hand.
+# Bench regression gate: run the CI-scale rebalance and YCSB
+# workload benchmarks and fail on >threshold throughput regressions via
+# scripts/bench_diff.py --check, instead of waiting for someone to run
+# the benches by hand. Each workload runs ROUNDS times per side: one run
+# per side is below this gate's noise.
 #
 #   scripts/bench_gate.sh                  # vs committed bench/baseline/
 #   scripts/bench_gate.sh --update         # regenerate those baselines
@@ -13,14 +14,20 @@
 #
 # Two modes:
 #  - committed-baseline (default): compares against bench/baseline/*.json.
-#    Those are machine-specific absolutes — regenerate with --update on
-#    the machine that runs the gate (scripts/ci.sh uses this mode on the
-#    baseline box).
+#    Those are machine-specific absolutes from one run — regenerate with
+#    --update on the machine that runs the gate (scripts/ci.sh uses this
+#    mode on the baseline box). A metric fails when the median of its
+#    rounds is more than the threshold below the baseline.
 #  - --relative REF: builds REF in a temporary git worktree with the
-#    current bench drivers grafted on (bench/CMakeLists.txt globs
-#    bench_*.cc), generates the baseline fresh on the same machine, then
-#    compares. This is the mode for heterogeneous/hosted CI runners,
-#    where committed absolutes from another machine class would gate on
+#    current bench_ycsb/bench_rebalance drivers and their headers
+#    grafted on, then runs both sides on the same machine, taking turns
+#    on each workload (a rebalance workload or a YCSB mix): the two runs
+#    of a workload sit back to back, base first in odd rounds and
+#    candidate first in even ones, so machine drift hits both. A metric
+#    fails when its median round-by-round ratio is more than the
+#    threshold worse AND the candidate lost every round (bench_diff.py).
+#    This is the mode for heterogeneous/hosted CI runners, where
+#    committed absolutes from another machine class would gate on
 #    hardware, not code.
 #
 # The gate knobs are deliberately small so one run stays in CI seconds,
@@ -41,51 +48,61 @@ BUILD="${BUILD:-build}"
 BASELINE_DIR=bench/baseline
 OUT="$BUILD/bench_gate"
 THRESHOLD="${CPMA_BENCH_GATE_THRESHOLD:-10}"
-# Best-of repetitions absorb scheduler noise; knobs must stay identical
-# between the two sides or bench_diff finds no matching workloads.
-READPATH_ARGS=(--ops=600000 --preload=300000 --threads=4 --reps=4
-               --scan_passes=16)
-REBAL_ARGS=(--ops=400000 --segments=512 --batch=2048 --threads=4 --reps=5
-            --what=dense,batch_insert,scan)
-# Sharded front end (ISSUE 8): one bare-vs-sharded parity pair plus a
-# small shard sweep, sized for CI seconds. Gated in committed-baseline
-# mode only — in --relative mode the base tree predates src/sharded/
-# and grafting the driver cannot conjure the library it benches.
-SHARDED_ARGS=(--ops=300000 --preload=150000 --threads=4 --reps=3
-              --shards=1,2 --scan_passes=8
-              --what=insert_heavy,read_mostly)
-# YCSB standard mixes (ISSUE 10): the two gated backends at CI scale,
-# update-heavy + read-latest (the rebalance-exercising mixes). Gated in
-# committed-baseline mode only, like sharded — in --relative mode the
-# base tree predates bench/workloads.h and the tail-attribution driver
-# API, so the driver cannot be grafted onto it.
-YCSB_ARGS=(--records=60000 --ops=200000 --threads=4
-           --mixes=A,D --backends=pma,sharded)
+# Single runs swing tens of percent between processes on a 4-vCPU host:
+# A/A runs of one build failed a 10% gate on single runs (by up to 31%)
+# and on medians of five rounds. A workload losing all six rounds
+# happens by chance with probability 1/64.
+ROUNDS=6
+# Knobs must stay identical between the two sides or bench_diff finds no
+# matching workloads. bench_rebalance keeps best-of repetitions.
+REBAL_ARGS=(--ops=400000 --segments=512 --batch=2048 --threads=4 --reps=5)
+REBAL_WHAT=(dense batch_insert scan)
+# YCSB mixes on the PMA and the hash-sharded front end at CI scale: the
+# update-heavy (A), read-mostly (B), read-only (C) and read-latest (D)
+# mixes, insert-only (I), and full scans under writers (S, gated on
+# its ordered-Scan and SumAll pass rates, scan_meps and sum_meps, as
+# well as ops_mops).
+YCSB_ARGS=(--records=60000 --ops=200000 --threads=4 --backends=pma,sharded)
+YCSB_MIXES=(A B C D I S)
+UNITS=("${REBAL_WHAT[@]/#/rebalance-}" "${YCSB_MIXES[@]/#/ycsb-}")
 
+rm -rf "$OUT"
 mkdir -p "$OUT"
-run_benches() {
-  local bindir="$1" outdir="$2" sharded="${3:-with-sharded}"
-  "$bindir/bench_readpath" "${READPATH_ARGS[@]}" \
-    --json="$outdir/readpath.json"
-  "$bindir/bench_rebalance" "${REBAL_ARGS[@]}" \
-    --json="$outdir/rebalance.json"
-  if [[ "$sharded" != "--no-sharded" ]]; then
-    "$bindir/bench_sharded" "${SHARDED_ARGS[@]}" \
-      --json="$outdir/sharded.json"
-    "$bindir/bench_ycsb" "${YCSB_ARGS[@]}" \
-      --json="$outdir/ycsb.json"
-  fi
+# run_unit BINDIR OUTDIR UNIT: one gate workload, rebalance-WHAT or
+# ycsb-MIX, into OUTDIR/UNIT.json.
+run_unit() {
+  local bindir="$1" outdir="$2" unit="$3"
+  mkdir -p "$outdir"
+  case "$unit" in
+    rebalance-*) "$bindir/bench_rebalance" "${REBAL_ARGS[@]}" \
+                   --what="${unit#*-}" --json="$outdir/$unit.json" ;;
+    ycsb-*) "$bindir/bench_ycsb" "${YCSB_ARGS[@]}" --mixes="${unit#*-}" \
+              --json="$outdir/$unit.json" ;;
+  esac
 }
 
+# rounds DIR BENCH: BENCH's units of every round under DIR, round by
+# round, comma-joined — one side for bench_diff, which pairs the two
+# sides' values in this order.
+rounds() {
+  local list="" r u
+  for ((r = 1; r <= ROUNDS; r++)); do
+    for u in "${UNITS[@]}"; do
+      [[ "$u" == "$2"-* ]] && list+="${list:+,}$1/r$r/$u.json"
+    done
+  done
+  echo "$list"
+}
+
+# compare BASE CAND: BASE holds rounds or the committed baseline files;
+# CAND holds rounds.
 compare() {
-  local basedir="$1" canddir="$2" status=0
-  for f in readpath rebalance sharded ycsb; do
-    if [[ ! -f "$basedir/$f.json" || ! -f "$canddir/$f.json" ]]; then
-      echo "--- bench_gate: $f skipped (missing on one side) ---"
-      continue
-    fi
-    echo "--- bench_gate: $f (threshold ${THRESHOLD}%) ---"
-    python3 scripts/bench_diff.py "$basedir/$f.json" "$canddir/$f.json" \
+  local base status=0
+  for f in rebalance ycsb; do
+    base="$1/$f.json"
+    [[ -f "$base" ]] || base="$(rounds "$1" "$f")"
+    echo "--- bench_gate: $f, $ROUNDS rounds (threshold ${THRESHOLD}%) ---"
+    python3 scripts/bench_diff.py "$base" "$(rounds "$2" "$f")" \
       --check --threshold="$THRESHOLD" || status=1
   done
   if [[ $status -ne 0 ]]; then
@@ -97,7 +114,11 @@ compare() {
 
 if [[ "${1:-}" == "--update" ]]; then
   mkdir -p "$BASELINE_DIR"
-  run_benches "./$BUILD/bench" "$BASELINE_DIR"
+  "./$BUILD/bench/bench_rebalance" "${REBAL_ARGS[@]}" \
+    --what="$(IFS=,; echo "${REBAL_WHAT[*]}")" \
+    --json="$BASELINE_DIR/rebalance.json"
+  "./$BUILD/bench/bench_ycsb" "${YCSB_ARGS[@]}" \
+    --mixes="$(IFS=,; echo "${YCSB_MIXES[*]}")" --json="$BASELINE_DIR/ycsb.json"
   echo "bench_gate: baselines regenerated in $BASELINE_DIR/ — commit them"
   exit 0
 fi
@@ -107,22 +128,12 @@ if [[ "${1:-}" == "--relative" ]]; then
   keep=0
   [[ "${3:-}" == "--keep" ]] && keep=1
 
-  # Harden for shallow / freshly-fetched checkouts (hosted runners):
-  # the ref must resolve to a commit we actually have before a worktree
-  # can be grafted onto it. Deepen, then fetch the ref directly, before
-  # giving up with an actionable message.
+  # The CI checkout has full history (fetch-depth 0); a shallow clone
+  # must fetch the ref first.
   if ! git rev-parse --verify --quiet "${ref}^{commit}" >/dev/null; then
-    echo "bench_gate: $ref not present locally; fetching..." >&2
-    if [[ "$(git rev-parse --is-shallow-repository)" == true ]]; then
-      git fetch --deepen=100 origin >/dev/null 2>&1 || true
-    fi
-    git rev-parse --verify --quiet "${ref}^{commit}" >/dev/null ||
-      git fetch origin "$ref" >/dev/null 2>&1 || true
-    if ! git rev-parse --verify --quiet "${ref}^{commit}" >/dev/null; then
-      echo "bench_gate: cannot resolve --relative ref '$ref'" \
-           "(shallow clone without it? fetch it or pass a reachable ref)" >&2
-      exit 1
-    fi
+    echo "bench_gate: cannot resolve --relative ref '$ref'" \
+         "(shallow clone without it? fetch it or pass a reachable ref)" >&2
+    exit 1
   fi
 
   # Trap-based cleanup (ISSUE 5 fix): any exit — base build failure,
@@ -145,30 +156,38 @@ if [[ "${1:-}" == "--relative" ]]; then
   # --detach: works from any HEAD state, including the detached HEAD a
   # hosted runner checks out for PR merge commits.
   git worktree add --detach --force "$base_wt" "$ref" >/dev/null
-  # Graft the candidate's bench drivers + diff tool so both sides run
-  # identical workloads even when the base predates a driver.
-  cp bench/bench_readpath.cc bench/bench_rebalance.cc "$base_wt/bench/"
+  # Graft the candidate's bench drivers and their headers so both sides
+  # run identical workloads.
+  cp bench/bench_ycsb.cc bench/bench_rebalance.cc bench/workloads.h \
+    bench/driver.h "$base_wt/bench/"
   cmake -S "$base_wt" -B "$base_wt/build" -DCMAKE_BUILD_TYPE=Release \
     -DCPMA_BUILD_TESTS=OFF -DCPMA_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build "$base_wt/build" -j "$(nproc)" \
-    --target bench_readpath bench_rebalance >/dev/null
-  mkdir -p "$OUT/base" "$OUT/cand"
-  # Both sides skip bench_sharded and bench_ycsb: the base tree cannot
-  # build them, and a candidate-only run would have nothing to gate
-  # against.
-  run_benches "$base_wt/build/bench" "$OUT/base" --no-sharded
-  run_benches "./$BUILD/bench" "$OUT/cand" --no-sharded
+    --target bench_ycsb bench_rebalance >/dev/null
+  for ((r = 1; r <= ROUNDS; r++)); do
+    for u in "${UNITS[@]}"; do
+      if ((r % 2)); then
+        run_unit "$base_wt/build/bench" "$OUT/base/r$r" "$u"
+        run_unit "./$BUILD/bench" "$OUT/cand/r$r" "$u"
+      else
+        run_unit "./$BUILD/bench" "$OUT/cand/r$r" "$u"
+        run_unit "$base_wt/build/bench" "$OUT/base/r$r" "$u"
+      fi
+    done
+  done
   compare "$OUT/base" "$OUT/cand"
   exit $?
 fi
 
-for f in readpath rebalance sharded ycsb; do
+for f in rebalance ycsb; do
   if [[ ! -f "$BASELINE_DIR/$f.json" ]]; then
     echo "bench_gate: missing $BASELINE_DIR/$f.json" \
          "(run scripts/bench_gate.sh --update and commit)" >&2
     exit 1
   fi
 done
-run_benches "./$BUILD/bench" "$OUT"
+for ((r = 1; r <= ROUNDS; r++)); do
+  for u in "${UNITS[@]}"; do run_unit "./$BUILD/bench" "$OUT/r$r" "$u"; done
+done
 compare "$BASELINE_DIR" "$OUT"
 exit $?

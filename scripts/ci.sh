@@ -77,11 +77,12 @@ if [[ "$FAST" == 1 ]]; then
   exit 0
 fi
 
-# Bench regression gate (ISSUE 4; sharded front end added in ISSUE 8):
-# CI-scale read-path + rebalance + bench_sharded runs compared against
-# the committed bench/baseline/*.json; >10% throughput regression fails
-# the pipeline (scripts/bench_gate.sh --update to rebaseline after
-# intentional changes or on new hardware).
+# Bench regression gate: CI-scale bench_rebalance + bench_ycsb runs
+# (pma and hash-sharded backends) compared against the committed
+# bench/baseline/*.json; a metric whose median over six runs regresses
+# >10% against that one-run baseline fails the pipeline
+# (scripts/bench_gate.sh --update to rebaseline after intentional
+# changes or on new hardware).
 stage "bench regression gate (scripts/bench_diff.py --check)"
 scripts/bench_gate.sh
 

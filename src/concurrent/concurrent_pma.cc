@@ -84,20 +84,6 @@ ConcurrentPMA::ConcurrentPMA(const ConcurrentConfig& config) : cfg_(config) {
     }
   }
   if (optimistic_retries_ < 0) optimistic_retries_ = 0;
-  strict_async_order_ = cfg_.strict_async_order;
-  if (const char* env = std::getenv("CPMA_STRICT_ASYNC")) {
-    // Same strict parse as above: "0" and "1" only — a typo silently
-    // relaxing the ordering contract would be a correctness hazard, not
-    // just a perf one.
-    if (env[0] != '\0' && env[1] == '\0' && (env[0] == '0' || env[0] == '1')) {
-      strict_async_order_ = env[0] == '1';
-    } else if (*env != '\0') {
-      std::fprintf(stderr,
-                   "cpma: ignoring invalid CPMA_STRICT_ASYNC=%s "
-                   "(want 0 or 1); using %d\n",
-                   env, strict_async_order_ ? 1 : 0);
-    }
-  }
   watchdog_ms_ = cfg_.watchdog_ms;
   if (const char* env = std::getenv("CPMA_WATCHDOG_MS")) {
     // Strict parse like the knobs above: a typo must not silently arm or
@@ -156,18 +142,13 @@ size_t ConcurrentPMA::capacity() const {
 }
 
 std::string ConcurrentPMA::Name() const {
-  // The default contract (strict per-key FIFO) stays unsuffixed so bench
-  // record identities are stable across the ISSUE 5 boundary; only the
-  // relaxed A/B opt-out announces itself.
-  const std::string suffix = strict_async_order_ ? "" : ",relaxed";
   switch (cfg_.async_mode) {
     case ConcurrentConfig::AsyncMode::kSync:
-      return "ConcurrentPMA(sync" + suffix + ")";
+      return "ConcurrentPMA(sync)";
     case ConcurrentConfig::AsyncMode::kOneByOne:
-      return "ConcurrentPMA(1by1" + suffix + ")";
+      return "ConcurrentPMA(1by1)";
     case ConcurrentConfig::AsyncMode::kBatch:
-      return "ConcurrentPMA(batch," + std::to_string(cfg_.t_delay_ms) + "ms" +
-             suffix + ")";
+      return "ConcurrentPMA(batch," + std::to_string(cfg_.t_delay_ms) + "ms)";
   }
   return "ConcurrentPMA";
 }
@@ -197,7 +178,7 @@ void ConcurrentPMA::UpdateBatch(GateOp* ops, size_t n) {
   // Block stamp reservation (ISSUE 8): one fetch_add covers the whole
   // producer-ordered run, linearizing it at the reservation point.
   // ops[i] gets base+i, so within the run the stamps reproduce issue
-  // order exactly — CanonicalizeBatch and the strict-order machinery
+  // order exactly — CanonicalizeBatch and the per-key FIFO machinery
   // cannot tell these ops from individually stamped ones.
   const uint64_t base = seq_gen_.fetch_add(n, std::memory_order_relaxed);
   for (size_t i = 0; i < n; ++i) {
@@ -211,59 +192,42 @@ void ConcurrentPMA::UpdateBatch(GateOp* ops, size_t n) {
 void ConcurrentPMA::DispatchStamped(GateOp op) {
   const bool allow_queue =
       cfg_.async_mode != ConcurrentConfig::AsyncMode::kSync;
-  // Worklist entries beyond the first are reroutes: ops that lost their
-  // gate to a fence move or resize and must re-dispatch through the
-  // index. Under strict_async_order this never happens (such ops are
-  // handed to the master inside the combining queue instead); in the
-  // relaxed mode the window between the fence move and the re-dispatch
-  // below is exactly where a younger same-key op can overtake.
-  bool rerouted = false;
-  std::deque<GateOp> worklist{op};
-  while (!worklist.empty()) {
-    GateOp cur = worklist.front();
-    worklist.pop_front();
-    if (rerouted) {
-      stat_reroutes_.fetch_add(1, std::memory_order_relaxed);
-      if (reroute_hook_) reroute_hook_(cur);
-    }
-    rerouted = true;
-    EpochGuard guard(gc_);
+  EpochGuard guard(gc_);
+  for (;;) {
+    Structure* snap = structure_.load(std::memory_order_acquire);
+    size_t gid = snap->index->Lookup(op.key);
+    GateAccess a;
+    Gate* gate;
     for (;;) {
-      Structure* snap = structure_.load(std::memory_order_acquire);
-      size_t gid = snap->index->Lookup(cur.key);
-      GateAccess a;
-      Gate* gate;
-      for (;;) {
-        gate = &snap->gates[gid];
-        a = gate->WriterAccess(cur, allow_queue);
-        if (a == GateAccess::kTooLow) {
-          CPMA_CHECK(gid > 0);
-          --gid;
-        } else if (a == GateAccess::kTooHigh) {
-          CPMA_CHECK(gid + 1 < snap->num_gates());
-          ++gid;
-        } else {
-          break;
-        }
-      }
-      if (a == GateAccess::kInvalidated) {
-        guard.Refresh();
-        continue;
-      }
-      if (a == GateAccess::kQueued) {
-        pending_async_.fetch_add(1, std::memory_order_relaxed);
-        stat_queued_ops_.fetch_add(1, std::memory_order_relaxed);
+      gate = &snap->gates[gid];
+      a = gate->WriterAccess(op, allow_queue);
+      if (a == GateAccess::kTooLow) {
+        CPMA_CHECK(gid > 0);
+        --gid;
+      } else if (a == GateAccess::kTooHigh) {
+        CPMA_CHECK(gid + 1 < snap->num_gates());
+        ++gid;
+      } else {
         break;
       }
-      CPMA_CHECK(a == GateAccess::kOwner);
-      OwnerApplyAndDrain(snap, gate, cur, &worklist);
-      break;
     }
+    if (a == GateAccess::kInvalidated) {
+      guard.Refresh();
+      continue;
+    }
+    if (a == GateAccess::kQueued) {
+      pending_async_.fetch_add(1, std::memory_order_relaxed);
+      stat_queued_ops_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    CPMA_CHECK(a == GateAccess::kOwner);
+    OwnerApplyAndDrain(snap, gate, op);
+    return;
   }
 }
 
-void ConcurrentPMA::OwnerApplyAndDrain(Structure* snap, Gate* gate, GateOp op,
-                                       std::deque<GateOp>* reroute) {
+void ConcurrentPMA::OwnerApplyAndDrain(Structure* snap, Gate* gate,
+                                       GateOp op) {
   using AsyncMode = ConcurrentConfig::AsyncMode;
   const bool batch_mode = cfg_.async_mode == AsyncMode::kBatch;
   std::optional<GateOp> pending = op;
@@ -278,18 +242,14 @@ void ConcurrentPMA::OwnerApplyAndDrain(Structure* snap, Gate* gate, GateOp op,
   };
 
   for (;;) {
-    if (pending.has_value() && (pending->key < gate->low_fence() ||
-                                pending->key > gate->high_fence())) {
-      // A multi-gate rebalance moved the fences while we were parked;
-      // re-dispatch through the index (paper §3.3). Reachable only in
-      // relaxed mode (the pending op kept across a rebalance below):
-      // everywhere else the op was fence-validated under this WRITE
-      // hold, or popped from a queue the masters drain before any fence
-      // move. Kept unconditionally as a cheap structural backstop.
-      reroute->push_back(*pending);
-      drop_pending();
-    }
     if (pending.has_value()) {
+      // The op was fence-validated under this WRITE hold, or popped
+      // from a queue the master drains before any fence move (gate.h
+      // invariant (c)); one outside the fences would be a per-key FIFO
+      // break, so it aborts instead of being re-dispatched.
+      CPMA_CHECK_MSG(pending->key >= gate->low_fence() &&
+                         pending->key <= gate->high_fence(),
+                     "owner's pending op outside its gate's fences");
       size_t trigger_seg = 0;
       if (ApplyOpLocal(snap, gate, *pending, &trigger_seg)) {
         drop_pending();
@@ -308,15 +268,14 @@ void ConcurrentPMA::OwnerApplyAndDrain(Structure* snap, Gate* gate, GateOp op,
         rebalancer_->RequestBatch(snap->version, gate->id(), due);
         gate->WriterDetachKeepQueue();
         return;
-      } else if (strict_async_order_) {
-        // Strict per-key FIFO (ISSUE 5): hand the op to the master
-        // INSIDE the combining queue instead of carrying it across the
-        // rebalance in this frame. The master drains the queue of every
-        // gate its window grows over and folds the drained ops into the
-        // merged spread while holding all of those gates, so the op is
-        // applied at its stamp-order position before any younger op can
-        // reach the moved fences — the reroute (and its reordering
-        // race) never exists. Push to the FRONT: the op is the oldest
+      } else {
+        // Per-key FIFO: hand the op to the master INSIDE the combining
+        // queue instead of carrying it across the rebalance in this
+        // frame. The master drains the queue of every gate its window
+        // grows over and folds the drained ops into the merged spread
+        // while holding all of those gates, so the op is applied at its
+        // stamp-order position before any younger op can reach the
+        // moved fences. Push to the FRONT: the op is the oldest
         // unapplied op on this gate (its own latch acquisition, or a
         // pop off the queue head), and while the master is indifferent
         // (it canonicalizes by stamp), the writer itself may end up
@@ -339,31 +298,15 @@ void ConcurrentPMA::OwnerApplyAndDrain(Structure* snap, Gate* gate, GateOp op,
           return;
         }
         continue;  // nothing pending; drain the combining queue
-      } else {
-        // Relaxed §3.5 (pre-ISSUE-5, A/B mode): transfer the latch and
-        // wait (paper §3.3), keeping the op in this frame. If the
-        // rebalance moved the fences off the key, the top-of-loop check
-        // reroutes it — the documented reordering window.
-        gate->TransferToRebalancer();
-        rebalancer_->RequestRebalance(snap->version, gate->id(),
-                                      trigger_seg);
-        if (!gate->WriterReacquireAfterRebal()) {
-          // Resize: the gate is gone; our op restarts on the new
-          // snapshot. Queued ops were merged by the master.
-          reroute->push_back(*pending);
-          drop_pending();
-          return;
-        }
-        continue;  // re-validate fences, retry the op
       }
     }
 
     // Own op done — drain the combining queue. Sync mode drains too:
-    // its queue is normally empty, but a strict-mode hand-off that
-    // interleaved with a shrink probe (MasterAcquire without a drain,
-    // released without a rebalance) can leave the handed-off op queued
-    // for us to finish; releasing with it still queued would strand the
-    // op and park the master forever.
+    // its queue is normally empty, but a hand-off that interleaved with
+    // a shrink probe (MasterAcquire without a drain, released without a
+    // rebalance) can leave the handed-off op queued for us to finish;
+    // releasing with it still queued would strand the op and park the
+    // master forever.
     if (!batch_mode) {
       GateOp qop;
       if (gate->WriterPopOrRelease(&qop)) {
@@ -381,20 +324,18 @@ void ConcurrentPMA::OwnerApplyAndDrain(Structure* snap, Gate* gate, GateOp op,
     }
     pending_async_.fetch_sub(static_cast<int64_t>(q.size()),
                              std::memory_order_relaxed);
-    std::deque<GateOp> local;
     for (const GateOp& qop : q) {
-      if (qop.key < gate->low_fence() || qop.key > gate->high_fence()) {
-        reroute->push_back(qop);
-      } else {
-        local.push_back(qop);
-      }
+      // Queued ops never outlive their admission fences (gate.h (c)).
+      CPMA_CHECK_MSG(
+          qop.key >= gate->low_fence() && qop.key <= gate->high_fence(),
+          "drained batch op outside its gate's fences");
     }
-    if (ApplyBatchLocal(snap, gate, &local)) continue;
+    if (ApplyBatchLocal(snap, gate, &q)) continue;
     // Remainder does not fit inside the gate: back onto the queue —
     // *ahead* of anything that arrived while we processed the batch —
     // and over to the rebalancer.
-    gate->OwnerPushFront(std::vector<GateOp>(local.begin(), local.end()));
-    pending_async_.fetch_add(static_cast<int64_t>(local.size()),
+    gate->OwnerPushFront(std::vector<GateOp>(q.begin(), q.end()));
+    pending_async_.fetch_add(static_cast<int64_t>(q.size()),
                              std::memory_order_relaxed);
     const int64_t due = std::max(
         NowMillis(), gate->last_global_rebalance_ms() + cfg_.t_delay_ms);

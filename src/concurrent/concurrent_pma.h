@@ -50,12 +50,11 @@
 // Updates may therefore complete asynchronously; Flush() waits until all
 // queued work (including rebalancer batches) has been applied.
 //
-// Async ordering contract (§3.5, strengthened in ISSUE 5): with
-// `ConcurrentConfig::strict_async_order` (default on), updates on the
-// SAME key are applied in the order their producer issued them —
-// per-key, per-producer FIFO — across every async mode, including ops
-// parked in combining queues while a fence-moving multi-gate rebalance
-// or a resize runs. Three mechanisms compose into the guarantee:
+// Async ordering contract (§3.5): updates on the SAME key are applied
+// in the order their producer issued them — per-key, per-producer FIFO
+// — across every async mode, including ops parked in combining queues
+// while a fence-moving multi-gate rebalance or a resize runs. Three
+// mechanisms compose into the guarantee:
 //   1. every GateOp is stamped with a monotone enqueue sequence in
 //      Update(); CanonicalizeBatch picks per-key winners by stamp;
 //   2. fences never move over a non-empty combining queue: the master
@@ -64,13 +63,11 @@
 //   3. a writer whose op needs a multi-gate rebalance pushes the op
 //      into its gate's queue BEFORE transferring the latch, so the op
 //      rides mechanism 2 instead of being re-dispatched through the
-//      index after the fences moved (the pre-ISSUE-5 race: a younger
-//      op could reach the destination gate first).
-// With strict_async_order off, mechanism 3 reverts to the relaxed
-// re-dispatch and same-key inversions are possible again (kept for A/B;
-// the reroute-storm test in tests/test_reroute_order.cc demonstrates
-// the inversion deterministically). Cross-key ordering stays relaxed in
-// both settings, exactly as the paper specifies.
+//      index after the fences moved (where a younger op could reach the
+//      destination gate first).
+// An op is therefore never found outside its gate's fences; the owner
+// path checks this (CPMA_CHECK_MSG) rather than re-dispatching.
+// Cross-key ordering stays relaxed, exactly as the paper specifies.
 
 #pragma once
 
@@ -89,16 +86,6 @@
 #include "concurrent/static_index.h"
 #include "pma/config.h"
 #include "pma/storage.h"
-
-// Feature macros: let externally grafted sources (the pre/post bench
-// drivers in BENCH_*.json methodology) compile against trees with and
-// without the optimistic read path (ISSUE 4) / the strict async
-// ordering contract (ISSUE 5).
-#define CPMA_OPTIMISTIC_READ_PATH 1
-#define CPMA_STRICT_ASYNC_ORDER 1
-#define CPMA_EBR_STATS 1
-#define CPMA_FAULT_TOLERANCE 1
-#define CPMA_SNAPSHOTS 1
 
 namespace cpma {
 
@@ -251,10 +238,6 @@ class ConcurrentPMA : public OrderedMap {
   /// overridden by CPMA_OPTIMISTIC_RETRIES at construction).
   int optimistic_retries() const { return optimistic_retries_; }
 
-  /// Effective async ordering contract (config, possibly overridden by
-  /// CPMA_STRICT_ASYNC at construction). True = per-key FIFO.
-  bool strict_async_order() const { return strict_async_order_; }
-
   /// Epoch-reclamation counters (§3.4): pending/retired/freed garbage,
   /// retired-bytes high-water mark, epoch advances, collector passes.
   /// Surfaced into bench JSON and the nightly soak artifact.
@@ -263,23 +246,6 @@ class ConcurrentPMA : public OrderedMap {
   /// Direct access to the reclamation subsystem (tests: parked-reader
   /// soaks drive Collect() and the collector stepping hooks).
   EpochGC& epoch_gc() const { return gc_; }
-
-  /// Ops re-dispatched through the index after losing their gate to a
-  /// fence move or resize. Structurally zero under strict_async_order
-  /// (such ops ride the rebalancer's merged spread instead); non-zero
-  /// counts are the relaxed mode's reordering windows.
-  uint64_t num_reroutes() const {
-    return stat_reroutes_.load(std::memory_order_relaxed);
-  }
-
-  /// Test-only: invoked on the re-dispatching thread for every rerouted
-  /// op, after the origin gate was released and before the re-dispatch
-  /// descends the index — i.e. inside the relaxed mode's reordering
-  /// window, so tests can deterministically interleave a younger op.
-  /// Set under quiescence (before concurrent clients exist).
-  void SetRerouteHookForTest(std::function<void(const GateOp&)> hook) {
-    reroute_hook_ = std::move(hook);
-  }
 
   // Storage observability (ROADMAP huge-page visibility): what publish
   // mechanism and page size the current snapshot actually uses, for
@@ -381,14 +347,12 @@ class ConcurrentPMA : public OrderedMap {
 
   // Dispatch an op that already carries its enqueue stamp (Update stamps
   // one op, UpdateBatch reserves a block): index descent, gate access,
-  // owner apply / queue hand-off, reroute worklist.
+  // owner apply / queue hand-off.
   void DispatchStamped(GateOp op);
 
   // Owner path: apply `op`, then drain the combining queue according to
-  // the configured async mode. Ops that no longer fit the gate's fences
-  // are pushed onto `reroute` for the caller to re-dispatch.
-  void OwnerApplyAndDrain(Structure* snap, Gate* gate, GateOp op,
-                          std::deque<GateOp>* reroute);
+  // the configured async mode.
+  void OwnerApplyAndDrain(Structure* snap, Gate* gate, GateOp op);
 
   /// Apply one op inside the gate, running local (in-gate) rebalances as
   /// needed. Returns false when a global rebalance is required; then
@@ -472,13 +436,10 @@ class ConcurrentPMA : public OrderedMap {
   ConcurrentConfig cfg_;
   // Effective retry budget (cfg_ value or CPMA_OPTIMISTIC_RETRIES).
   int optimistic_retries_ = 8;
-  // Effective ordering contract (cfg_ value or CPMA_STRICT_ASYNC).
-  bool strict_async_order_ = true;
   // Effective watchdog threshold (cfg_ value or CPMA_WATCHDOG_MS).
   int64_t watchdog_ms_ = 0;
   // Global enqueue stamp generator; see GateOp::seq.
   std::atomic<uint64_t> seq_gen_{1};
-  std::function<void(const GateOp&)> reroute_hook_;
   mutable EpochGC gc_;
   std::atomic<Structure*> structure_;
   std::atomic<size_t> count_{0};
@@ -490,7 +451,6 @@ class ConcurrentPMA : public OrderedMap {
   std::atomic<uint64_t> stat_resizes_{0};
   std::atomic<uint64_t> stat_queued_ops_{0};
   std::atomic<uint64_t> stat_batches_{0};
-  std::atomic<uint64_t> stat_reroutes_{0};
   mutable std::atomic<uint64_t> stat_read_fallbacks_{0};
   mutable std::atomic<uint64_t> stat_optimistic_gate_reads_{0};
   std::atomic<uint64_t> stat_rebalance_retries_{0};

@@ -19,7 +19,8 @@
 //       the drained ops into the merged spread while all affected gates
 //       are held. A queued op therefore never outlives the fence range it
 //       was admitted under, which is what makes the per-key FIFO contract
-//       of `ConcurrentConfig::strict_async_order` enforceable;
+//       of the async modes enforceable (the owner path aborts on an op
+//       outside its gate's fences instead of re-dispatching it);
 //   (d) the per-segment minimum keys that aid lookups inside a chunk —
 //       these live in Storage::route() and need no duplication here;
 //   (e) the `invalidated` flag set when a resize replaced the whole
@@ -69,7 +70,7 @@ struct GateOp {
   /// merges. Because each producer issues its ops sequentially, seq
   /// order restricted to one producer is that producer's program order,
   /// so "per-key winner = max seq" (CanonicalizeBatch) implements the
-  /// per-key FIFO guarantee of strict_async_order.
+  /// per-key FIFO guarantee of the async modes.
   uint64_t seq = 0;
 };
 

@@ -69,22 +69,6 @@ struct ConcurrentConfig {
   /// than the master doing the spread alone (always a multiple of gates).
   size_t parallel_rebalance_min_gates = 4;
 
-  /// Per-key FIFO ordering for the async modes (ISSUE 5). When true
-  /// (default), operations on the same key are applied in the order
-  /// their producer issued them even across fence-moving multi-gate
-  /// rebalances and resizes: every GateOp carries a monotone enqueue
-  /// stamp, batch canonicalization picks per-key winners by stamp, and a
-  /// writer whose op needs a rebalance hands the op to the master
-  /// *inside* the gate's combining queue, so it is folded into the
-  /// merged spread while all affected gates are held instead of being
-  /// racily re-dispatched after the fences moved. When false, the
-  /// pre-ISSUE-5 relaxed §3.5 contract applies: a queued op that is
-  /// re-dispatched after a fence move can be overtaken by a younger op
-  /// on the same key (kept selectable for A/B measurement; see
-  /// BENCH_PR5.json). Overridden at construction by the
-  /// CPMA_STRICT_ASYNC environment variable (0 or 1) when set.
-  bool strict_async_order = true;
-
   /// Rebalancer stall watchdog (ISSUE 7). When > 0, a background checker
   /// thread inside the rebalancer samples the master's monotone progress
   /// stamp and, if the master is mid-rebalance and the stamp has not

@@ -385,7 +385,6 @@ ShardedPMA::Stats ShardedPMA::GetStats() const {
     st.batches += s->num_batches();
     st.read_fallbacks += s->num_read_fallbacks();
     st.optimistic_gate_reads += s->num_optimistic_gate_reads();
-    st.reroutes += s->num_reroutes();
     st.rebalance_retries += s->num_rebalance_retries();
     st.watchdog_trips += s->num_watchdog_trips();
     if (s->fallback_backend_active()) ++st.degraded_shards;

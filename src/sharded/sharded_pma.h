@@ -52,7 +52,7 @@
 // staged (coalesced) ops are invisible to reads until flushed, the same
 // asynchrony the OrderedMap contract already grants combining modes.
 //
-// Env knobs (strict-parsed like CPMA_STRICT_ASYNC; a typo warns on
+// Env knobs (strict-parsed like CPMA_OPTIMISTIC_RETRIES; a typo warns on
 // stderr and keeps the config value): CPMA_SHARDS overrides num_shards,
 // CPMA_COALESCE_OPS overrides coalesce_ops, CPMA_COALESCE_AGE_MS
 // overrides coalesce_age_ms.
@@ -74,10 +74,6 @@
 #include "concurrent/concurrent_pma.h"
 #include "concurrent/snapshot.h"
 #include "pma/config.h"
-
-// Feature macro for externally grafted bench drivers (see the macros at
-// the top of concurrent/concurrent_pma.h).
-#define CPMA_SHARDED_FRONTEND 1
 
 namespace cpma {
 
@@ -196,7 +192,6 @@ class ShardedPMA : public OrderedMap {
     uint64_t batches = 0;
     uint64_t read_fallbacks = 0;
     uint64_t optimistic_gate_reads = 0;
-    uint64_t reroutes = 0;
     uint64_t rebalance_retries = 0;
     uint64_t watchdog_trips = 0;
     /// Count of shards currently publishing by copy (degraded backend).

@@ -252,7 +252,6 @@ ConcurrentConfig SmallConfig(ConcurrentConfig::AsyncMode mode) {
   cfg.rebalancer_workers = 2;
   cfg.async_mode = mode;
   cfg.t_delay_ms = 1;
-  cfg.strict_async_order = true;
   return cfg;
 }
 

@@ -8,25 +8,17 @@
 //
 //  - StrictHandoffAppliesInOrder: a writer whose op triggers a
 //    fence-moving multi-gate rebalance hands it to the master inside
-//    the combining queue; the op lands exactly once, no reroute ever
-//    happens, and a later op on the same key wins (FIFO).
-//  - RelaxedRerouteInvertsSameKeyOrder: the same deterministic scenario
-//    with strict_async_order off. The reroute hook fires inside the
-//    relaxed mode's reordering window and injects a younger op on the
-//    same key; the rerouted older op then overwrites it — the §3.5
-//    inversion this PR turns off by default. Flipping the strict knob
-//    on makes the FIFO expectation of the strict test hold and this
-//    inversion impossible (the two tests are each other's A/B).
+//    the combining queue; the op lands exactly once and a later op on
+//    the same key wins (FIFO). An op found outside its gate's fences
+//    aborts the process (ConcurrentPMA::OwnerApplyAndDrain), so the
+//    hand-off is checked on every run.
 //  - FifoStorm*: three writers, per-key monotone values, bursts of
 //    same-key ops with no flush in between, tiny segments so fences
 //    move constantly; the final state must be exactly the last issued
 //    op per key in all three async modes.
-//  - EnvKnobOverridesConfig: CPMA_STRICT_ASYNC=0/1 beats the config;
-//    garbage values are ignored.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -36,27 +28,15 @@
 
 #include "common/random.h"
 #include "concurrent/concurrent_pma.h"
-#include "concurrent/gate.h"
 
 namespace cpma {
 namespace {
-
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() { unsetenv(name_.c_str()); }
-
- private:
-  std::string name_;
-};
 
 /// Smallest legal geometry: 4-slot segments, 2 segments per gate, 4
 /// initial segments (2 gates). All preloaded keys land in gate 0 (gate
 /// 1 starts with an empty fence range), so the first global rebalance
 /// provably moves the fence between the two gates.
-ConcurrentConfig TinyConfig(ConcurrentConfig::AsyncMode mode, bool strict) {
+ConcurrentConfig TinyConfig(ConcurrentConfig::AsyncMode mode) {
   ConcurrentConfig cfg;
   cfg.pma.segment_capacity = 4;
   cfg.pma.initial_num_segments = 4;
@@ -64,7 +44,6 @@ ConcurrentConfig TinyConfig(ConcurrentConfig::AsyncMode mode, bool strict) {
   cfg.rebalancer_workers = 1;
   cfg.async_mode = mode;
   cfg.t_delay_ms = 1;
-  cfg.strict_async_order = strict;
   return cfg;
 }
 
@@ -79,7 +58,7 @@ void PreloadSevens(ConcurrentPMA* pma) {
 /// Ascending inserts above the preload until one triggers a global
 /// rebalance (its target segment is full and the in-gate window cannot
 /// absorb it). Returns the keys inserted, in order; the last one is the
-/// op that rode (strict) or crossed (relaxed) the fence move.
+/// op that rode the fence move inside the combining queue.
 std::vector<Key> InsertUntilGlobalRebalance(ConcurrentPMA* pma) {
   std::vector<Key> keys;
   for (Key k = 75; k < 75 + 16; ++k) {
@@ -91,10 +70,7 @@ std::vector<Key> InsertUntilGlobalRebalance(ConcurrentPMA* pma) {
 }
 
 TEST(RerouteOrder, StrictHandoffAppliesInOrder) {
-  ConcurrentPMA pma(
-      TinyConfig(ConcurrentConfig::AsyncMode::kOneByOne, /*strict=*/true));
-  std::atomic<int> hook_fires{0};
-  pma.SetRerouteHookForTest([&](const GateOp&) { hook_fires.fetch_add(1); });
+  ConcurrentPMA pma(TinyConfig(ConcurrentConfig::AsyncMode::kOneByOne));
 
   PreloadSevens(&pma);
   const std::vector<Key> keys = InsertUntilGlobalRebalance(&pma);
@@ -102,12 +78,9 @@ TEST(RerouteOrder, StrictHandoffAppliesInOrder) {
       << "scenario failed to force a multi-gate rebalance";
   pma.Flush();
 
-  // The hand-off path re-dispatches nothing: the op whose key crossed
-  // the moved fence was folded into the master's merged spread.
-  EXPECT_EQ(pma.num_reroutes(), 0u);
-  EXPECT_EQ(hook_fires.load(), 0);
-
-  // Every op applied exactly once, at its stamped position.
+  // The op whose key crossed the moved fence was folded into the
+  // master's merged spread: every op applied exactly once, at its
+  // stamped position.
   for (Key k : keys) {
     Value v = 0;
     ASSERT_TRUE(pma.Find(k, &v)) << "key " << k;
@@ -120,45 +93,6 @@ TEST(RerouteOrder, StrictHandoffAppliesInOrder) {
   Value v = 0;
   ASSERT_TRUE(pma.Find(crossed, &v));
   EXPECT_EQ(v, 4242);
-
-  std::string err;
-  EXPECT_TRUE(pma.CheckInvariants(&err)) << err;
-}
-
-TEST(RerouteOrder, RelaxedRerouteInvertsSameKeyOrder) {
-  ConcurrentPMA pma(
-      TinyConfig(ConcurrentConfig::AsyncMode::kOneByOne, /*strict=*/false));
-  // The hook runs on the re-dispatching thread after the origin gate
-  // was released and before the index descent — the relaxed mode's
-  // reordering window. Injecting a younger op on the same key here is
-  // the deterministic version of the race the PR 3 soak reproduced.
-  std::atomic<int> hook_fires{0};
-  Key inverted_key = 0;
-  pma.SetRerouteHookForTest([&](const GateOp& op) {
-    if (hook_fires.fetch_add(1) == 0) {
-      inverted_key = op.key;
-      pma.Insert(op.key, 4242);  // younger op: issued after `op`
-      pma.Flush();               // fully applied before `op` re-applies
-    }
-  });
-
-  PreloadSevens(&pma);
-  InsertUntilGlobalRebalance(&pma);
-  ASSERT_GT(pma.num_global_rebalances(), 0u)
-      << "scenario failed to force a multi-gate rebalance";
-  pma.Flush();
-
-  // The op that crossed the fence move was re-dispatched...
-  ASSERT_GE(hook_fires.load(), 1);
-  EXPECT_GE(pma.num_reroutes(), 1u);
-  // ...and overwrote the younger op: same-key order inverted. This
-  // EXPECT documents the relaxed contract; under strict_async_order the
-  // hook never fires and the younger op wins (see the test above).
-  Value v = 0;
-  ASSERT_TRUE(pma.Find(inverted_key, &v));
-  EXPECT_EQ(v, 1000 + inverted_key)
-      << "relaxed mode unexpectedly preserved FIFO for key "
-      << inverted_key;
 
   std::string err;
   EXPECT_TRUE(pma.CheckInvariants(&err)) << err;
@@ -179,7 +113,7 @@ class FifoStorm : public ::testing::TestWithParam<StormParam> {};
 // tiny segments keep fences moving. Strict ordering must deliver the
 // last issued op per key as the final state, exactly.
 TEST_P(FifoStorm, LastIssuedOpWinsPerKey) {
-  ConcurrentPMA pma(TinyConfig(GetParam().mode, /*strict=*/true));
+  ConcurrentPMA pma(TinyConfig(GetParam().mode));
   constexpr int kWriters = 3;
   constexpr int kOpsPerWriter = 8000;
   constexpr Key kRange = 1 << 10;
@@ -212,7 +146,6 @@ TEST_P(FifoStorm, LastIssuedOpWinsPerKey) {
   for (auto& t : writers) t.join();
   pma.Flush();
 
-  EXPECT_EQ(pma.num_reroutes(), 0u);
   std::string err;
   ASSERT_TRUE(pma.CheckInvariants(&err)) << err;
   size_t expected = 0;
@@ -241,34 +174,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<StormParam>& info) {
       return std::string(info.param.name);
     });
-
-// -------------------------------------------------------------- knob
-
-TEST(RerouteOrder, EnvKnobOverridesConfig) {
-  ConcurrentConfig strict_cfg;  // default: strict on
-  ConcurrentConfig relaxed_cfg;
-  relaxed_cfg.strict_async_order = false;
-  {
-    ConcurrentPMA pma(relaxed_cfg);
-    EXPECT_FALSE(pma.strict_async_order());
-  }
-  {
-    ScopedEnv env("CPMA_STRICT_ASYNC", "0");
-    ConcurrentPMA pma(strict_cfg);
-    EXPECT_FALSE(pma.strict_async_order());
-  }
-  {
-    ScopedEnv env("CPMA_STRICT_ASYNC", "1");
-    ConcurrentPMA pma(relaxed_cfg);
-    EXPECT_TRUE(pma.strict_async_order());
-  }
-  {
-    // Garbage must not silently relax the contract.
-    ScopedEnv env("CPMA_STRICT_ASYNC", "yes");
-    ConcurrentPMA pma(strict_cfg);
-    EXPECT_TRUE(pma.strict_async_order());
-  }
-}
 
 }  // namespace
 }  // namespace cpma

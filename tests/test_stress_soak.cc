@@ -6,19 +6,12 @@
 // exact surviving set at the end and the final state is checked
 // key-by-key, on top of the structural invariants.
 //
-// Two checking regimes, matching the two §3.5 ordering contracts:
-//
-//  - strict (default, strict_async_order on): writers issue bursts of
-//    consecutive ops on the SAME key with no Flush anywhere in the
-//    storm — multiple ops per key in flight through combining queues,
-//    rebalancer merges and resizes. Per-key FIFO guarantees the final
-//    state is exactly the last issued op per key, and the soak asserts
-//    it (plus that the reroute path never fired).
-//  - relaxed (strict_async_order off, the pre-ISSUE-5 contract): a
-//    queued op re-dispatched after a fence-moving rebalance can be
-//    overtaken by a later op on the same key, so exact checking is only
-//    sound with at most one in-flight op per key: never re-touch a key
-//    within a phase, Flush() between phases.
+// Writers issue bursts of consecutive ops on the SAME key with no Flush
+// anywhere in the storm — multiple ops per key in flight through
+// combining queues, rebalancer merges and resizes. Per-key FIFO (§3.5)
+// guarantees the final state is exactly the last issued op per key, and
+// the soak asserts it; an op found outside its gate's fences aborts the
+// run (ConcurrentPMA::OwnerApplyAndDrain).
 //
 // Gated out of tier-1 by duration, not by label: the default budget is
 // short enough for CI (the `stress` ctest label stays green in
@@ -60,7 +53,6 @@ int64_t SoakBudgetMs() {
 
 struct SoakParam {
   ConcurrentConfig::AsyncMode mode;
-  bool strict;
   const char* name;
 };
 
@@ -72,7 +64,6 @@ ConcurrentConfig SoakConfig(const SoakParam& p) {
   cfg.async_mode = p.mode;
   cfg.t_delay_ms = 2;
   cfg.parallel_rebalance_min_gates = 2;
-  cfg.strict_async_order = p.strict;
   return cfg;
 }
 
@@ -90,19 +81,17 @@ void AppendSoakJson(const SoakParam& p, int64_t budget_ms, size_t survivors,
   std::fprintf(
       f,
       "{\"bench\": \"stress_soak\", \"mode\": \"%s\", "
-      "\"strict_async_order\": %s, \"budget_ms\": %lld, "
+      "\"budget_ms\": %lld, "
       "\"survivors\": %zu, \"reads\": %llu, \"queued_ops\": %llu, "
-      "\"reroutes\": %llu, \"local_rebalances\": %llu, "
+      "\"local_rebalances\": %llu, "
       "\"global_rebalances\": %llu, \"resizes\": %llu, "
       "\"batches\": %llu, \"read_fallbacks\": %llu, "
       "\"ebr_pending\": %llu, \"ebr_pending_bytes\": %llu, "
       "\"ebr_retired_bytes_hwm\": %llu, \"ebr_retired_bytes\": %llu, "
       "\"ebr_epoch_advances\": %llu, \"ebr_collections\": %llu}\n",
-      p.name, p.strict ? "true" : "false",
-      static_cast<long long>(budget_ms), survivors,
+      p.name, static_cast<long long>(budget_ms), survivors,
       static_cast<unsigned long long>(reads),
       static_cast<unsigned long long>(pma.num_queued_ops()),
-      static_cast<unsigned long long>(pma.num_reroutes()),
       static_cast<unsigned long long>(pma.num_local_rebalances()),
       static_cast<unsigned long long>(pma.num_global_rebalances()),
       static_cast<unsigned long long>(pma.num_resizes()),
@@ -138,59 +127,26 @@ TEST_P(StressSoak, MixedChurnKeepsInvariants) {
       Random rng(1000 + static_cast<uint64_t>(w));
       Timer timer;
       auto& mine = last[static_cast<size_t>(w)];
-      if (param.strict) {
-        // Strict per-key FIFO: free-running bursts on the same key, no
-        // Flush — the exact workload the relaxed contract cannot
-        // survive (ISSUE 5 tentpole).
-        Value ctr = 0;
-        while (timer.ElapsedSeconds() * 1000.0 <
-               static_cast<double>(budget_ms)) {
-          for (int i = 0; i < 256;) {
-            const Key k = rng.NextBounded(1 << 16) * kWriters +
-                          static_cast<Key>(w);
-            const int burst = 1 + static_cast<int>(rng.NextBounded(4));
-            for (int b = 0; b < burst && i < 256; ++b, ++i) {
-              if (rng.NextBounded(4) == 0) {
-                pma.Remove(k);
-                mine[k] = std::nullopt;
-              } else {
-                const Value v = ++ctr;
-                pma.Insert(k, v);
-                mine[k] = v;
-              }
+      // Free-running bursts on the same key, no Flush.
+      Value ctr = 0;
+      while (timer.ElapsedSeconds() * 1000.0 <
+             static_cast<double>(budget_ms)) {
+        for (int i = 0; i < 256;) {
+          const Key k =
+              rng.NextBounded(1 << 16) * kWriters + static_cast<Key>(w);
+          const int burst = 1 + static_cast<int>(rng.NextBounded(4));
+          for (int b = 0; b < burst && i < 256; ++b, ++i) {
+            if (rng.NextBounded(4) == 0) {
+              pma.Remove(k);
+              mine[k] = std::nullopt;
+            } else {
+              const Value v = ++ctr;
+              pma.Insert(k, v);
+              mine[k] = v;
             }
           }
         }
-        return;
       }
-      // Relaxed (pre-ISSUE-5) contract: at most one in-flight op per
-      // key — never re-touch a key within a phase, Flush between the
-      // insert and remove phases.
-      uint64_t tick = 0;
-      std::map<Key, Value> owned;
-      while (timer.ElapsedSeconds() * 1000.0 <
-             static_cast<double>(budget_ms)) {
-        ++tick;
-        for (int i = 0; i < 256; ++i) {
-          const Key k =
-              (rng.NextBounded(1 << 16)) * kWriters + static_cast<Key>(w);
-          if (owned.count(k) != 0) continue;
-          const Value v = tick * 1000 + static_cast<Value>(i);
-          pma.Insert(k, v);
-          owned[k] = v;
-        }
-        pma.Flush();  // inserts land before their keys may be removed
-        for (auto it = owned.begin(); it != owned.end();) {
-          if (rng.NextBounded(2) == 0) {
-            pma.Remove(it->first);
-            it = owned.erase(it);
-          } else {
-            ++it;
-          }
-        }
-        pma.Flush();  // removes land before the keys may be re-inserted
-      }
-      for (const auto& [k, v] : owned) mine[k] = v;
     });
   }
 
@@ -224,10 +180,6 @@ TEST_P(StressSoak, MixedChurnKeepsInvariants) {
 
   std::string err;
   ASSERT_TRUE(pma.CheckInvariants(&err)) << err;
-  if (param.strict) {
-    // The hand-off path makes re-dispatches structurally impossible.
-    EXPECT_EQ(pma.num_reroutes(), 0u);
-  }
   size_t expected = 0;
   for (int w = 0; w < kWriters; ++w) {
     for (const auto& [k, v] : last[static_cast<size_t>(w)]) {
@@ -246,11 +198,9 @@ TEST_P(StressSoak, MixedChurnKeepsInvariants) {
   EXPECT_GT(reads.load(), 0u);
   std::printf(
       "[soak] mode=%s budget_ms=%lld survivors=%zu reads=%llu "
-      "reroutes=%llu rebal(local=%llu global=%llu resizes=%llu "
-      "batches=%llu)\n",
+      "rebal(local=%llu global=%llu resizes=%llu batches=%llu)\n",
       param.name, static_cast<long long>(budget_ms), expected,
       static_cast<unsigned long long>(reads.load()),
-      static_cast<unsigned long long>(pma.num_reroutes()),
       static_cast<unsigned long long>(pma.num_local_rebalances()),
       static_cast<unsigned long long>(pma.num_global_rebalances()),
       static_cast<unsigned long long>(pma.num_resizes()),
@@ -261,22 +211,16 @@ TEST_P(StressSoak, MixedChurnKeepsInvariants) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, StressSoak,
     ::testing::Values(
-        SoakParam{ConcurrentConfig::AsyncMode::kSync, true, "sync"},
-        SoakParam{ConcurrentConfig::AsyncMode::kOneByOne, true, "1by1"},
-        SoakParam{ConcurrentConfig::AsyncMode::kBatch, true, "batch"},
-        SoakParam{ConcurrentConfig::AsyncMode::kSync, false,
-                  "sync_relaxed"},
-        SoakParam{ConcurrentConfig::AsyncMode::kOneByOne, false,
-                  "1by1_relaxed"},
-        SoakParam{ConcurrentConfig::AsyncMode::kBatch, false,
-                  "batch_relaxed"}),
+        SoakParam{ConcurrentConfig::AsyncMode::kSync, "sync"},
+        SoakParam{ConcurrentConfig::AsyncMode::kOneByOne, "1by1"},
+        SoakParam{ConcurrentConfig::AsyncMode::kBatch, "batch"}),
     [](const ::testing::TestParamInfo<SoakParam>& info) {
       return std::string(info.param.name);
     });
 
 // ----------------------------------------------------- chaos soak (ISSUE 7)
 //
-// The strict-mode soak workload, with a fault conductor re-arming random
+// The soak workload, with a fault conductor re-arming random
 // failpoint sites mid-storm using finite (times:1..3) policies — so
 // every injected fault eventually recovers and the run must converge to
 // the exact per-key final state despite resize-allocation failures,
@@ -446,7 +390,6 @@ TEST_P(ChaosSoak, FaultStormConvergesToExactState) {
 
   std::string err;
   ASSERT_TRUE(pma.CheckInvariants(&err)) << err;
-  EXPECT_EQ(pma.num_reroutes(), 0u) << "strict FIFO must survive faults";
   size_t expected = 0;
   for (int w = 0; w < kWriters; ++w) {
     for (const auto& [k, v] : last[static_cast<size_t>(w)]) {
@@ -484,9 +427,9 @@ TEST_P(ChaosSoak, FaultStormConvergesToExactState) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, ChaosSoak,
     ::testing::Values(
-        SoakParam{ConcurrentConfig::AsyncMode::kSync, true, "sync"},
-        SoakParam{ConcurrentConfig::AsyncMode::kOneByOne, true, "1by1"},
-        SoakParam{ConcurrentConfig::AsyncMode::kBatch, true, "batch"}),
+        SoakParam{ConcurrentConfig::AsyncMode::kSync, "sync"},
+        SoakParam{ConcurrentConfig::AsyncMode::kOneByOne, "1by1"},
+        SoakParam{ConcurrentConfig::AsyncMode::kBatch, "batch"}),
     [](const ::testing::TestParamInfo<SoakParam>& info) {
       return std::string(info.param.name);
     });

@@ -62,18 +62,21 @@ TEST(Workloads, DifferentThreadsDifferentStreams) {
 }
 
 TEST(Workloads, InsertKeysDisjointAcrossThreads) {
-  const MixSpec* mix = FindMix('D');
-  ASSERT_NE(mix, nullptr);
-  const uint64_t records = 5000;
-  std::set<Key> seen;
-  for (uint64_t t = 0; t < 4; ++t) {
-    WorkloadGenerator g(*mix, records, t, 4, 7);
-    for (int i = 0; i < 2000; ++i) {
-      const YcsbOpSpec op = g.Next();
-      if (op.op != YcsbOp::kInsert) continue;
-      EXPECT_GT(op.key, records) << "inserts go above the preload";
-      EXPECT_TRUE(seen.insert(op.key).second)
-          << "insert key collided across threads: " << op.key;
+  for (char m : {'D', 'I'}) {
+    const MixSpec* mix = FindMix(m);
+    ASSERT_NE(mix, nullptr) << m;
+    const uint64_t records = 5000;
+    std::set<Key> seen;
+    for (uint64_t t = 0; t < 4; ++t) {
+      WorkloadGenerator g(*mix, records, t, 4, 7);
+      for (int i = 0; i < 2000; ++i) {
+        const YcsbOpSpec op = g.Next();
+        if (op.op != YcsbOp::kInsert) continue;
+        EXPECT_GT(op.key, records) << "inserts go above the preload";
+        EXPECT_TRUE(seen.insert(op.key).second)
+            << "mix " << m << ": insert key collided across threads: "
+            << op.key;
+      }
     }
   }
 }
@@ -83,7 +86,7 @@ TEST(Workloads, InsertKeysDisjointAcrossThreads) {
 
 TEST(Workloads, MixProportionsWithinTolerance) {
   const size_t kDraws = 1u << 20;
-  for (char m : {'A', 'B', 'C', 'D', 'E', 'F'}) {
+  for (char m : {'A', 'B', 'C', 'D', 'E', 'F', 'I', 'S'}) {
     const MixSpec* mix = FindMix(m);
     ASSERT_NE(mix, nullptr) << m;
     WorkloadGenerator g(*mix, 100000, 0, 1, 99);
