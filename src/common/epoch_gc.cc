@@ -1,9 +1,7 @@
 #include "common/epoch_gc.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <new>
 
@@ -35,22 +33,6 @@ bool RegisterAsymmetricFence() {
 #else
 bool RegisterAsymmetricFence() { return false; }
 #endif
-
-// Strict env parse (same contract as CPMA_OPTIMISTIC_RETRIES in
-// concurrent_pma.cc): malformed values warn once on stderr and fall back
-// to the built-in default rather than silently misconfiguring.
-size_t EnvSizeOr(const char* name, size_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || env[0] == '\0') return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (errno != 0 || end == env || *end != '\0') {
-    std::fprintf(stderr, "[cpma] ignoring malformed %s=\"%s\"\n", name, env);
-    return fallback;
-  }
-  return static_cast<size_t>(v);
-}
 
 }  // namespace
 
@@ -91,13 +73,6 @@ bool EpochGC::IsAlive(EpochGC* gc, uint64_t instance_id) {
 
 EpochGC::EpochGC(const Options& opts)
     : instance_id_(NextInstanceId()), opts_(opts) {
-  opts_.count_watermark =
-      EnvSizeOr("CPMA_EBR_COUNT_WATERMARK", opts_.count_watermark);
-  opts_.bytes_watermark =
-      EnvSizeOr("CPMA_EBR_BYTES_WATERMARK", opts_.bytes_watermark);
-  opts_.collector_period = std::chrono::milliseconds(EnvSizeOr(
-      "CPMA_EBR_COLLECT_MS",
-      static_cast<size_t>(opts_.collector_period.count())));
   if (opts_.count_watermark == 0) opts_.count_watermark = 1;
   if (opts_.bytes_watermark == 0) opts_.bytes_watermark = 1;
   if (opts_.collector_period.count() <= 0) {

@@ -64,13 +64,8 @@
 // recycled slot is still epoch-ordered because append order follows the
 // monotone global epoch.
 //
-// Knobs (env overrides, parsed once per EpochGC instance):
-//   CPMA_EBR_COUNT_WATERMARK  per-thread pending retirements that trigger
-//                             advance+collect (default 512)
-//   CPMA_EBR_BYTES_WATERMARK  per-thread pending retired bytes that
-//                             trigger advance+collect (default 8 MiB)
-//   CPMA_EBR_COLLECT_MS       background collector period in ms
-//                             (default 10)
+// Knobs: EpochGC::Options (per-thread count and byte watermarks that
+// trigger advance+collect, background collector period).
 
 #pragma once
 
@@ -149,7 +144,8 @@ class EpochGC {
     std::chrono::milliseconds collector_period{10};
   };
 
-  /// Applies CPMA_EBR_* env overrides on top of `opts`.
+  /// Zero watermarks and a non-positive period are clamped to usable
+  /// values.
   explicit EpochGC(const Options& opts);
   EpochGC() : EpochGC(Options{}) {}
   ~EpochGC();

@@ -22,8 +22,7 @@
 // The threshold is 2x the OS-reported LLC size (resolved once at
 // startup, see cpu_dispatch.cc): a window that big cannot stay resident
 // even with a perfectly warm cache, so evicting live data to cache its
-// lines is pure loss. CPMA_STREAM_BYTES overrides it for A/B runs and
-// for forcing the streaming path through tests on any host.
+// lines is pure loss.
 
 #pragma once
 
@@ -49,8 +48,8 @@ inline void ScalarCopyItems(Item* dst, const Item* src, size_t n) {
 }
 
 /// Window size in bytes above which rebalance copies switch to the
-/// streaming (non-temporal) kernel: 2x the detected LLC, or the
-/// CPMA_STREAM_BYTES env override (resolved once; cpu_dispatch.cc).
+/// streaming (non-temporal) kernel: 2x the detected LLC (resolved once;
+/// cpu_dispatch.cc).
 size_t StreamWindowBytes();
 
 /// Decide once per rebalance whether its copies should stream.

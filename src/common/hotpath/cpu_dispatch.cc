@@ -94,11 +94,6 @@ size_t ResolveLocateTrampoline(const Key* routes, size_t n, Key key) {
 size_t StreamWindowBytes() {
   static const size_t bytes = [] {
     constexpr size_t kFallback = size_t{32} << 20;
-    if (const char* env = std::getenv("CPMA_STREAM_BYTES")) {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(env, &end, 10);
-      if (end != env && v > 0) return static_cast<size_t>(v);
-    }
     long llc = -1;
 #if defined(__linux__) && defined(_SC_LEVEL3_CACHE_SIZE)
     llc = sysconf(_SC_LEVEL3_CACHE_SIZE);

@@ -21,10 +21,6 @@
 
 namespace cpma {
 
-// One tested lower bound for every segment search (hot-path subsystem,
-// ISSUE 2) instead of a per-TU scalar copy.
-using hotpath::SegmentLowerBound;
-
 void RecomputeFences(Structure* snap, size_t gb, size_t ge) {
   CPMA_CHECK(gb < ge && ge <= snap->num_gates());
   const Storage& st = *snap->storage;
@@ -526,11 +522,13 @@ size_t ConcurrentPMA::LocateSegment(const Structure& snap, const Gate& gate,
   // instead of the old early-exit scan over segment(s)[0].key. Only for
   // an empty global segment 0 can this pick an empty segment (its route
   // stays kKeyMin) — then the key precedes every stored key of the gate
-  // and inserting at segment 0, position 0 is exactly right.
+  // and inserting at segment 0, position 0 is exactly right. The route
+  // loads are tagged for optimistic readers; outside TSan that is the
+  // same LocateRoute kernel.
   const Storage& st = *snap.storage;
   const size_t idx =
-      hotpath::LocateRoute(st.routes().data() + gate.seg_begin(),
-                           gate.seg_end() - gate.seg_begin(), key);
+      hotpath::TaggedLocateRoute(st.routes().data() + gate.seg_begin(),
+                                 gate.seg_end() - gate.seg_begin(), key);
   if (idx != hotpath::kNoRoute) return gate.seg_begin() + idx;
   // Key precedes every stored key of the chunk (rare — only next to the
   // low fence): fall back to the first non-empty segment.
@@ -554,90 +552,59 @@ void ConcurrentPMA::MaybeRequestShrink(Structure* snap) {
 
 // ---------------------------------------------------------------- reads
 //
-// All three readers (Find, SumAll, Scan) are optimistic-first: descend
-// the static index, snapshot the gate's seqlock version, read the live
-// storage with tagged accesses, validate. The blocking READ-latch path
-// survives as the per-gate fallback after `optimistic_retries_` failed
-// windows (0 = always blocking; CPMA_OPTIMISTIC_RETRIES env override).
-// Protocol and ordering argument: concurrent_pma.h / common/latches.h.
+// One reader, ReadGateOf, runs the whole reader protocol for Find,
+// SumAll and the ScanCursor; each of them is only the body that reads
+// the gate (a point search, a gate sum, one segment run). The body runs
+// on the live storage with tagged accesses inside a seqlock window.
+// After `optimistic_retries_` failed windows and walks (0 = always
+// blocking; CPMA_OPTIMISTIC_RETRIES env override) ReadGateOf takes the
+// READ latch and runs the same body under it: the latch excludes every
+// mutator, so any version check the body makes there passes. Protocol
+// and ordering argument: concurrent_pma.h / common/latches.h.
 
-size_t ConcurrentPMA::LocateSegmentOptimistic(const Structure& snap,
-                                              const Gate& gate,
-                                              Key key) const {
-  // Same routing contract as LocateSegment (see its comment), but with
-  // tagged route loads: on a racing rebalance the slice may be torn,
-  // which can only misdirect the search inside the chunk — the caller's
-  // version validation then rejects the window.
-  const Storage& st = *snap.storage;
-  const size_t idx =
-      hotpath::TaggedLocateRoute(st.routes().data() + gate.seg_begin(),
-                                 gate.seg_end() - gate.seg_begin(), key);
-  if (idx != hotpath::kNoRoute) return gate.seg_begin() + idx;
-  for (size_t s = gate.seg_begin(); s < gate.seg_end(); ++s) {
-    if (st.card(s) > 0) return s;
-  }
-  return gate.seg_begin();
-}
-
-ConcurrentPMA::OptRead ConcurrentPMA::TryOptimisticFind(const Structure& snap,
-                                                        Key key,
-                                                        Value* value) const {
-  const Storage& st = *snap.storage;
-  const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
-  size_t gid = snap.index->Lookup(key);
+template <typename Read>
+ConcurrentPMA::ReadPath ConcurrentPMA::ReadGateOf(Structure* snap,
+                                                  size_t* gid, Key key,
+                                                  Read&& read) const {
+  // One gate toward `key`; false at the array's edge.
+  const auto walk = [&](bool left) {
+    if (left ? *gid == 0 : *gid + 1 == snap->num_gates()) return false;
+    *gid = left ? *gid - 1 : *gid + 1;
+    return true;
+  };
   for (int attempt = 0; attempt < optimistic_retries_; ++attempt) {
-    const Gate& gate = snap.gates[gid];
+    const Gate& gate = snap->gates[*gid];
     const uint64_t v = gate.version().ReadBegin();
     if (!SeqVersion::Stable(v)) continue;  // mutator active on this gate
-    if (gate.invalidated_relaxed()) return OptRead::kRestart;
+    if (gate.invalidated_relaxed()) return ReadPath::kRetired;
     const Key lo = gate.low_fence();
     const Key hi = gate.high_fence();
     if (key < lo || key > hi) {
-      // Only a validated version proves [lo, hi] was read untorn;
-      // then the neighbour walk is as sound as the latched one. A walk
-      // burns an attempt, which bounds fence ping-pong under churn.
+      // Only a validated version proves [lo, hi] was read untorn; then
+      // the neighbour walk is as sound as the latched one. A walk burns
+      // an attempt, which bounds fence ping-pong under churn. Untorn
+      // fences never put a key outside gate 0 or the last gate, so a
+      // validated mismatch there is left to the latch.
       if (!gate.version().Validate(v)) continue;
-      if (key < lo) {
-        if (gid == 0) return OptRead::kFallback;
-        --gid;
-      } else {
-        if (gid + 1 >= snap.num_gates()) return OptRead::kFallback;
-        ++gid;
-      }
+      if (!walk(key < lo)) break;
       continue;
     }
-    const size_t s = LocateSegmentOptimistic(snap, gate, key);
-    const Item* seg = st.segment(s);
-    // Clamp a (possibly racing) cardinality so the search never leaves
-    // the segment; any stored card is <= B, the min is belt-and-braces.
-    const uint32_t card = std::min(st.card(s), B);
-    const size_t pos = hotpath::TaggedSegmentLowerBound(seg, card, key);
-    Item it{kKeySentinel, 0};
-    if (pos < card) it = hotpath::TaggedLoadItem(seg + pos);
-    if (!gate.version().Validate(v)) continue;
-    // Stable window: the lookup linearizes at the validation point.
-    if (it.key == key) {
-      if (value != nullptr) *value = it.value;
-      return OptRead::kHit;
+    if (read(gate, v, hi) && gate.version().Validate(v)) {
+      return ReadPath::kOptimistic;  // linearizes at the validation
     }
-    return OptRead::kMiss;
   }
-  return OptRead::kFallback;
-}
-
-GateAccess ConcurrentPMA::ReadLatchGateOf(Structure* snap, size_t* gid,
-                                          Key key) const {
+  stat_read_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+  TailEventRing::Global().RecordInstant(TailEvent::kReadFallback);
   for (;;) {
-    const GateAccess a = snap->gates[*gid].ReaderAccess(&key);
-    if (a == GateAccess::kTooLow) {
-      CPMA_CHECK(*gid > 0);
-      --*gid;
-    } else if (a == GateAccess::kTooHigh) {
-      CPMA_CHECK(*gid + 1 < snap->num_gates());
-      ++*gid;
-    } else {
-      return a;
+    Gate& gate = snap->gates[*gid];
+    const GateAccess a = gate.ReaderAccess(&key);
+    if (a == GateAccess::kInvalidated) return ReadPath::kRetired;
+    if (a == GateAccess::kOwner) {
+      read(gate, gate.version().ReadBegin(), gate.high_fence());
+      gate.ReaderRelease();
+      return ReadPath::kLatched;
     }
+    CPMA_CHECK(walk(a == GateAccess::kTooLow));
   }
 }
 
@@ -646,68 +613,50 @@ bool ConcurrentPMA::Find(Key key, Value* value) const {
   EpochGuard guard(gc_);
   for (;;) {
     Structure* snap = structure_.load(std::memory_order_acquire);
-    switch (TryOptimisticFind(*snap, key, value)) {
-      case OptRead::kHit:
-        return true;
-      case OptRead::kMiss:
-        return false;
-      case OptRead::kRestart:
-        guard.Refresh();
-        continue;
-      case OptRead::kFallback:
-        break;
-    }
-    stat_read_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    TailEventRing::Global().RecordInstant(TailEvent::kReadFallback);
-    // Blocking fallback: the pre-optimistic READ-latch protocol.
+    const Storage& st = *snap->storage;
+    const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
+    Item it{kKeySentinel, 0};
+    const auto search = [&](const Gate& gate, uint64_t, Key) {
+      const size_t s = LocateSegment(*snap, gate, key);
+      const Item* seg = st.segment(s);
+      // Clamp a (possibly racing) cardinality so the search never leaves
+      // the segment; any stored card is <= B, the min is belt-and-braces.
+      const uint32_t card = std::min(st.card(s), B);
+      const size_t pos = hotpath::TaggedSegmentLowerBound(seg, card, key);
+      it = pos < card ? hotpath::TaggedLoadItem(seg + pos)
+                      : Item{kKeySentinel, 0};
+      return true;
+    };
+    // No optimistic-read count: Find's hot path touches no shared
+    // counter.
     size_t gid = snap->index->Lookup(key);
-    if (ReadLatchGateOf(snap, &gid, key) == GateAccess::kInvalidated) {
+    if (ReadGateOf(snap, &gid, key, search) == ReadPath::kRetired) {
       guard.Refresh();
       continue;
     }
-    Gate* gate = &snap->gates[gid];
-    const Storage& st = *snap->storage;
-    const size_t s = LocateSegment(*snap, *gate, key);
-    const Item* seg = st.segment(s);
-    const uint32_t card = st.card(s);
-    const size_t pos = SegmentLowerBound(seg, card, key);
-    const bool found = pos < card && seg[pos].key == key;
-    if (found && value != nullptr) *value = seg[pos].value;
-    gate->ReaderRelease();
-    return found;
+    if (it.key != key) return false;
+    if (value != nullptr) *value = it.value;
+    return true;
   }
 }
 
-ConcurrentPMA::OptGate ConcurrentPMA::TryOptimisticGateSum(
-    const Structure& snap, size_t* gid, Key next, uint64_t* sum_out,
-    Key* gate_high) const {
-  const Storage& st = *snap.storage;
-  const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
-  for (int attempt = 0; attempt < optimistic_retries_; ++attempt) {
-    const Gate& gate = snap.gates[*gid];
-    const uint64_t v = gate.version().ReadBegin();
-    if (!SeqVersion::Stable(v)) continue;
-    if (gate.invalidated_relaxed()) return OptGate::kRestart;
-    const Key lo = gate.low_fence();
-    const Key hi = gate.high_fence();
-    if (next < lo || next > hi) {
-      // The fence walk of TryOptimisticFind: a stale descent, or a fence
-      // a rebalance moved after the previous gate validated, must not
-      // skip the keys between `next` and this gate's low fence.
-      if (!gate.version().Validate(v)) continue;
-      if (next < lo) {
-        if (*gid == 0) return OptGate::kFallback;
-        --*gid;
-      } else {
-        if (*gid + 1 >= snap.num_gates()) return OptGate::kFallback;
-        ++*gid;
-      }
-      continue;
-    }
+uint64_t ConcurrentPMA::SumAll() const {
+  uint64_t sum = 0;
+  uint64_t gate_reads = 0;
+  // Resume key: every key below `next` is folded, so restarts and
+  // fallbacks resume without re-reading gates that were read.
+  Key next = kKeyMin;
+  EpochGuard guard(gc_);
+  Structure* snap = structure_.load(std::memory_order_acquire);
+  size_t gid = 0;
+  uint64_t gate_sum = 0;
+  Key gate_high = 0;
+  const auto sum_gate = [&](const Gate& gate, uint64_t v, Key hi) {
+    const Storage& st = *snap->storage;
+    const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
     // Only a resume inside the gate (restart or walk) cuts segments.
-    const bool cut = next > lo;
+    const bool cut = next > gate.low_fence();
     uint64_t local = 0;
-    bool ok = true;
     for (size_t s = gate.seg_begin(); s < gate.seg_end(); ++s) {
       if (s + 1 < gate.seg_end()) {
         hotpath::PrefetchSegment(st.segment(s + 1), st.card(s + 1));
@@ -718,66 +667,23 @@ ConcurrentPMA::OptGate ConcurrentPMA::TryOptimisticGateSum(
                              hotpath::TaggedSegmentLowerBound(seg, card, next))
                        : 0;
       for (; i < card; ++i) local += TaggedLoad(&seg[i].value);
-      // Segment-copy granularity: one failed window discards at most
-      // one segment's worth of torn accumulation.
-      if (!gate.version().Validate(v)) {
-        ok = false;
-        break;
-      }
+      // Segment granularity: one failed window discards at most one
+      // segment's worth of torn accumulation.
+      if (!gate.version().Validate(v)) return false;
     }
-    if (!ok) continue;
-    *sum_out = local;
-    *gate_high = hi;
-    return OptGate::kOk;
-  }
-  return OptGate::kFallback;
-}
-
-uint64_t ConcurrentPMA::SumAll() const {
-  uint64_t sum = 0;
-  uint64_t gate_reads = 0;
-  // Resume key: every key below `next` is folded, so restarts and
-  // fallbacks resume without re-reading gates that validated.
-  Key next = kKeyMin;
-  EpochGuard guard(gc_);
-  Structure* snap = structure_.load(std::memory_order_acquire);
-  size_t gid = 0;
+    gate_sum = local;
+    gate_high = hi;
+    return true;
+  };
   for (;;) {
-    uint64_t gate_sum = 0;
-    Key gate_high = kKeySentinel;
-    OptGate r = TryOptimisticGateSum(*snap, &gid, next, &gate_sum,
-                                     &gate_high);
-    if (r == OptGate::kOk) ++gate_reads;
-    if (r == OptGate::kFallback) {
-      stat_read_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      TailEventRing::Global().RecordInstant(TailEvent::kReadFallback);
-      if (ReadLatchGateOf(snap, &gid, next) == GateAccess::kInvalidated) {
-        r = OptGate::kRestart;
-      } else {
-        Gate* gate = &snap->gates[gid];
-        const Storage& st = *snap->storage;
-        for (size_t s = gate->seg_begin(); s < gate->seg_end(); ++s) {
-          // Prefetch stays inside the gate: card(s+1) in a foreign gate
-          // would race with its writer outside any validated window.
-          if (s + 1 < gate->seg_end()) {
-            hotpath::PrefetchSegment(st.segment(s + 1), st.card(s + 1));
-          }
-          const Item* seg = st.segment(s);
-          const uint32_t card = st.card(s);
-          for (size_t i = SegmentLowerBound(seg, card, next); i < card; ++i) {
-            gate_sum += seg[i].value;
-          }
-        }
-        gate_high = gate->high_fence();
-        gate->ReaderRelease();
-      }
-    }
-    if (r == OptGate::kRestart) {
+    const ReadPath r = ReadGateOf(snap, &gid, next, sum_gate);
+    if (r == ReadPath::kRetired) {
       guard.Refresh();
       snap = structure_.load(std::memory_order_acquire);
       gid = snap->index->Lookup(next);
       continue;
     }
+    gate_reads += r == ReadPath::kOptimistic;
     sum += gate_sum;
     // No key lies above kKeyMax; the last gate's high fence is the
     // sentinel, so this also ends the walk there.
@@ -811,151 +717,82 @@ ConcurrentPMA::ScanCursor::~ScanCursor() {
 
 bool ConcurrentPMA::ScanCursor::NextChunk(std::vector<Item>* out) {
   out->clear();
-  // Failed windows and fence walks burn the retry budget; reaching a
-  // new gate or a restart refills it.
-  int failures = 0;
   while (!done_) {
-    const Step step = failures < pma_.optimistic_retries_
-                          ? TryOptimisticStep(out)
-                          : LatchedStep(out);
-    if (step == Step::kDelivered) return true;
-    failures = step == Step::kFailed ? failures + 1 : 0;
-  }
-  return false;
-}
-
-void ConcurrentPMA::ScanCursor::Restart() {
-  guard_.Refresh();
-  snap_ = pma_.structure_.load(std::memory_order_acquire);
-  gid_ = snap_->index->Lookup(next_);
-  positioned_ = false;
-}
-
-ConcurrentPMA::ScanCursor::Step ConcurrentPMA::ScanCursor::TryOptimisticStep(
-    std::vector<Item>* out) {
-  const Storage& st = *snap_->storage;
-  const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
-  const Gate& gate = snap_->gates[gid_];
-  const uint64_t v = gate.version().ReadBegin();
-  size_t s;
-  Key hi;
-  bool cut;  // next_ may fall inside segment s: start at its lower bound
-  if (positioned_ && v == ver_) {
-    // Unchanged since the last run: the gate's keys >= next_ start at
-    // seg_, no descent or locate needed.
-    s = seg_;
-    hi = high_;
-    cut = false;
-  } else {
-    positioned_ = false;
-    if (!SeqVersion::Stable(v)) return Step::kFailed;
-    if (gate.invalidated_relaxed()) {
-      Restart();
-      return Step::kAdvanced;
+    const Storage& st = *snap_->storage;
+    const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
+    size_t s = 0;
+    uint64_t ver = 0;
+    Key high = 0;
+    bool resumed = false;
+    // One segment run: the keys >= next_ of the first segment of the
+    // gate that holds any; s == seg_end when the gate holds none.
+    const auto copy_run = [&](const Gate& gate, uint64_t v, Key hi) {
+      // The same gate at the same version as the last delivery holds
+      // its keys >= next_ from seg_ on: no locate. Walks move gid_, and
+      // a neighbour gate can carry the same version number, so the gate
+      // is compared too.
+      resumed = &gate == resume_gate_ && v == ver_;
+      s = resumed ? seg_ : pma_.LocateSegment(*snap_, gate, next_);
+      out->clear();
+      for (bool cut = !resumed; s < gate.seg_end(); ++s, cut = false) {
+        const Item* seg = st.segment(s);
+        const uint32_t card = std::min(st.card(s), B);
+        const uint32_t i0 =
+            cut ? static_cast<uint32_t>(
+                      hotpath::TaggedSegmentLowerBound(seg, card, next_))
+                : 0;
+        if (i0 < card) {
+          out->resize(card - i0);
+          hotpath::TaggedReadItems(out->data(), seg + i0, card - i0);
+          if (s + 1 < gate.seg_end()) {
+            hotpath::PrefetchSegment(st.segment(s + 1), st.card(s + 1));
+          }
+          break;
+        }
+      }
+      ver = v;
+      high = hi;
+      return true;
+    };
+    const ReadPath r = pma_.ReadGateOf(snap_, &gid_, next_, copy_run);
+    if (r == ReadPath::kRetired) {
+      guard_.Refresh();
+      snap_ = pma_.structure_.load(std::memory_order_acquire);
+      gid_ = snap_->index->Lookup(next_);
+      resume_gate_ = nullptr;
+      continue;
     }
-    const Key lo = gate.low_fence();
-    hi = gate.high_fence();
-    if (next_ < lo || next_ > hi) {
-      // Never trust the descent alone: walk by validated fences, as
-      // TryOptimisticFind does. A walk burns an attempt, which bounds
-      // fence ping-pong under churn.
-      if (!gate.version().Validate(v)) return Step::kFailed;
-      if (next_ < lo) {
-        if (gid_ > 0) --gid_;
-      } else if (gid_ + 1 < snap_->num_gates()) {
+    // One count per gate visit, not per resumed run.
+    if (r == ReadPath::kOptimistic && !resumed) ++optimistic_gate_reads_;
+    const Gate& gate = snap_->gates[gid_];
+    if (s == gate.seg_end()) {
+      // No key of the gate from next_ to its high fence: on to the next
+      // gate (the last gate's high fence, the sentinel, exceeds max_).
+      resume_gate_ = nullptr;
+      if (high >= max_) {
+        done_ = true;
+      } else {
+        next_ = high + 1;
         ++gid_;
       }
-      return Step::kFailed;
+      continue;
     }
-    s = pma_.LocateSegmentOptimistic(*snap_, gate, next_);
-    cut = true;
-  }
-  for (; s < gate.seg_end(); ++s, cut = false) {
-    const Item* seg = st.segment(s);
-    const uint32_t card = std::min(st.card(s), B);
-    const uint32_t i0 =
-        cut ? static_cast<uint32_t>(
-                  hotpath::TaggedSegmentLowerBound(seg, card, next_))
-            : 0;
-    if (i0 < card) {
-      out->resize(card - i0);
-      hotpath::TaggedReadItems(out->data(), seg + i0, card - i0);
-      if (s + 1 < gate.seg_end()) {
-        hotpath::PrefetchSegment(st.segment(s + 1), st.card(s + 1));
-      }
-      break;
-    }
-  }
-  if (!gate.version().Validate(v)) {
-    out->clear();
-    positioned_ = false;
-    return Step::kFailed;
-  }
-  if (!positioned_) ++optimistic_gate_reads_;
-  return Deliver(s, v, hi, out);
-}
-
-ConcurrentPMA::ScanCursor::Step ConcurrentPMA::ScanCursor::LatchedStep(
-    std::vector<Item>* out) {
-  pma_.stat_read_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  TailEventRing::Global().RecordInstant(TailEvent::kReadFallback);
-  positioned_ = false;
-  if (pma_.ReadLatchGateOf(snap_, &gid_, next_) == GateAccess::kInvalidated) {
-    Restart();
-    return Step::kAdvanced;
-  }
-  Gate* gate = &snap_->gates[gid_];
-  const Storage& st = *snap_->storage;
-  size_t s = pma_.LocateSegment(*snap_, *gate, next_);
-  for (bool cut = true; s < gate->seg_end(); ++s, cut = false) {
-    const Item* seg = st.segment(s);
-    const uint32_t card = st.card(s);
-    const size_t i0 = cut ? SegmentLowerBound(seg, card, next_) : 0;
-    if (i0 < card) {
-      out->assign(seg + i0, seg + card);
-      break;
-    }
-  }
-  // The READ latch excludes every mutator, so this version is the one
-  // the copy was made under; the next step may continue from it.
-  const uint64_t v = gate->version().ReadBegin();
-  const Key hi = gate->high_fence();
-  gate->ReaderRelease();
-  return Deliver(s, v, hi, out);
-}
-
-ConcurrentPMA::ScanCursor::Step ConcurrentPMA::ScanCursor::Deliver(
-    size_t s, uint64_t version, Key high, std::vector<Item>* out) {
-  if (s == snap_->gates[gid_].seg_end()) {
-    // No key of the gate from next_ to its high fence: on to the next
-    // gate (the last gate's high fence, the sentinel, exceeds max_).
-    positioned_ = false;
-    if (high >= max_) {
+    const Key last = out->back().key;
+    if (last >= max_) {
       done_ = true;
-    } else {
-      next_ = high + 1;
-      ++gid_;
-    }
-    return Step::kAdvanced;
-  }
-  const Key last = out->back().key;
-  if (last >= max_) {
-    done_ = true;
-    positioned_ = false;
-    if (last > max_) {
       out->resize(static_cast<size_t>(
           std::upper_bound(out->begin(), out->end(), max_,
                            [](Key k, const Item& it) { return k < it.key; }) -
           out->begin()));
+      return !out->empty();
     }
-    return out->empty() ? Step::kAdvanced : Step::kDelivered;
+    next_ = last + 1;
+    resume_gate_ = &gate;
+    seg_ = s + 1;
+    ver_ = ver;
+    return true;
   }
-  next_ = last + 1;
-  positioned_ = true;
-  seg_ = s + 1;
-  ver_ = version;
-  high_ = high;
-  return Step::kDelivered;
+  return false;
 }
 
 void ConcurrentPMA::Scan(Key min, Key max, const ScanCallback& cb) const {

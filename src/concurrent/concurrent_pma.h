@@ -16,36 +16,39 @@
 //   5. writers finding an active writer on the gate append their update
 //      to its combining queue and return (async modes).
 //
-// Reader protocol (optimistic, normally latch-free): readers
-// run the same descent but, instead of taking the READ latch, snapshot
-// the gate's sequence-lock version word (gate.h (f)):
+// Reader protocol (optimistic, normally latch-free). One reader,
+// ConcurrentPMA::ReadGateOf, runs it for Find, SumAll and ScanCursor;
+// each supplies only the body that reads one gate. Readers run the same
+// descent but, instead of taking the READ latch, snapshot the gate's
+// sequence-lock version word (gate.h (f)):
 //   1. enter an epoch; load the snapshot; index descent -> candidate;
 //   2. read the gate version; if odd (writer/rebalancer active), retry;
 //   3. check `invalidated`: a retired gate means refresh + restart;
 //   4. read the fence keys and — only after re-validating the version,
 //      which proves the [low, high] pair was untorn — walk to the
 //      neighbour gate on mismatch, exactly like the latched descent;
-//   5. run the SIMD segment search / segment copy directly on the live
-//      storage with tagged accesses (common/tagged.h);
+//   5. run the body (SIMD segment search, gate sum or segment copy)
+//      directly on the live storage with tagged accesses
+//      (common/tagged.h);
 //   6. validate the version; on success the read linearizes at the
 //      validation point. On failure retry; after
-//      `ConcurrentConfig::optimistic_retries` failed windows (env
-//      override CPMA_OPTIMISTIC_RETRIES; 0 forces fallback) fall back
-//      to the blocking READ latch — the latched protocol, so the
-//      forced-fallback mode is the pre-optimistic protocol.
-// Scans (ScanCursor) deliver one segment run per step: the keys from
+//      `ConcurrentConfig::optimistic_retries` failed windows and walks
+//      (env override CPMA_OPTIMISTIC_RETRIES; 0 forces fallback) take
+//      the blocking READ latch, walk by fences under it and run the
+//      same body — the latched protocol, so the forced-fallback mode is
+//      the pre-optimistic protocol.
+// Scans (ScanCursor) deliver one segment run per read: the keys from
 // the resume key — one past the last delivered key — to the end of
-// that segment, each run validated in its own window. Every step first
-// proves the resume key lies inside the gate's validated fences and
-// walks left or right when it does not, so a run validated at time t is
-// exactly the gate's keys in [resume, run end] at t and no key a
-// rebalance moved across a fence is ever skipped: a key present for the
-// whole scan is delivered exactly once. While the gate's version is
-// unchanged the next step continues at the next segment without a
-// descent; otherwise it relocates from the resume key. Epoch pinning
-// keeps a rewired/retired storage alive across the validation window,
-// so torn reads are bounded but never wild. Memory-ordering argument:
-// SeqVersion in common/latches.h.
+// that segment. Every read proves the resume key lies inside the gate's
+// validated fences and walks left or right when it does not, so a run
+// validated at time t is exactly the gate's keys in [resume, run end]
+// at t and no key a rebalance moved across a fence is ever skipped: a
+// key present for the whole scan is delivered exactly once. While the
+// same gate's version is unchanged the next run continues at the next
+// segment without a locate; otherwise it relocates from the resume key.
+// Epoch pinning keeps a rewired/retired storage alive across the
+// validation window, so torn reads are bounded but never wild.
+// Memory-ordering argument: SeqVersion in common/latches.h.
 //
 // Updates may therefore complete asynchronously; Flush() waits until all
 // queued work (including rebalancer batches) has been applied.
@@ -160,35 +163,18 @@ class ConcurrentPMA : public OrderedMap {
     bool NextChunk(std::vector<Item>* out);
 
    private:
-    enum class Step { kDelivered, kAdvanced, kFailed };
-    // One optimistic step: continue at seg_ while the gate's version is
-    // still ver_, else locate next_ in a validated window (walking by
-    // fences). kFailed burns one unit of the retry budget.
-    Step TryOptimisticStep(std::vector<Item>* out);
-    // The blocking fallback: the same step under the gate's READ latch.
-    Step LatchedStep(std::vector<Item>* out);
-    // Bookkeeping after a run of gate gid_ was read in a stable window
-    // (validated, or under the latch) at `version`; `s` is the run's
-    // segment, or seg_end when the gate holds nothing from next_ on.
-    Step Deliver(size_t s, uint64_t version, Key high,
-                 std::vector<Item>* out);
-    // A resize retired snap_: re-enter the epoch and descend afresh.
-    void Restart();
-
     const ConcurrentPMA& pma_;
     EpochGuard guard_;
     const Key max_;
     Key next_;  // resume key: [min, next_) is delivered
     bool done_;
     Structure* snap_;
-    size_t gid_;  // gate to try next_ in (a hint until positioned_)
-    // Position from the last delivery: at version ver_, gate gid_ held
-    // next_ within its fences and its keys >= next_ in segments seg_
-    // onward; high_ is its high fence at ver_.
-    bool positioned_ = false;
+    size_t gid_;  // gate to try next_ in (a hint; reads walk by fences)
+    // Position from the last delivery: at version ver_, gate
+    // resume_gate_ held its keys >= next_ in segments seg_ onward.
+    const Gate* resume_gate_ = nullptr;
     size_t seg_ = 0;
     uint64_t ver_ = 0;
-    Key high_ = 0;
     uint64_t optimistic_gate_reads_ = 0;  // published by the destructor
   };
   size_t Size() const override {
@@ -373,38 +359,33 @@ class ConcurrentPMA : public OrderedMap {
   bool TryMergedGateSpread(Structure* snap, Gate* gate,
                            const std::vector<BatchEntry>& ops);
 
-  // In-gate navigation (caller holds the gate latch).
-  // Rightmost non-empty segment of the chunk whose routing key is <= key,
-  // or the leftmost non-empty segment, or seg_begin() for an empty chunk.
+  // In-gate navigation for writers (latch held) and readers (inside a
+  // version window). Rightmost non-empty segment of the chunk whose
+  // routing key is <= key, or the leftmost non-empty segment, or
+  // seg_begin() for an empty chunk. Tagged route loads: on torn data the
+  // result stays within the chunk and the reader's validation rejects
+  // the window.
   size_t LocateSegment(const Structure& snap, const Gate& gate, Key key) const;
 
-  // ------------------------------------------- optimistic read path
+  // ------------------------------------------------------- reads
 
-  /// LocateSegment for a reader holding no latch: tagged route loads
-  /// (TSan-visible), result always within the chunk even on torn data —
-  /// the caller's version validation rejects the window if it raced.
-  size_t LocateSegmentOptimistic(const Structure& snap, const Gate& gate,
-                                 Key key) const;
+  /// How ReadGateOf served a read.
+  enum class ReadPath {
+    kOptimistic,  // in a validated version window, latch-free
+    kLatched,     // under the READ latch, after the retry budget ran out
+    kRetired,     // a resize retired `snap`: refresh the epoch, restart
+  };
 
-  /// One budget-bounded optimistic point lookup against `snap`.
-  enum class OptRead { kHit, kMiss, kFallback, kRestart };
-  OptRead TryOptimisticFind(const Structure& snap, Key key,
-                            Value* value) const;
-
-  /// Blocking-path descent: take the READ latch of the gate holding
-  /// `key`, starting at *gid and walking by fences. kOwner leaves *gid
-  /// latched (caller releases); kInvalidated means restart.
-  GateAccess ReadLatchGateOf(Structure* snap, size_t* gid, Key key) const;
-
-  /// One budget-bounded optimistic visit of the gate holding `next`
-  /// (starting at *gid, walking by validated fences), summing the
-  /// values of its keys >= next. kOk hands the caller the sum, the
-  /// gate's high fence and the visited gate in *gid; kFallback means
-  /// the budget is spent (take the READ latch); kRestart means the
-  /// snapshot was retired.
-  enum class OptGate { kOk, kFallback, kRestart };
-  OptGate TryOptimisticGateSum(const Structure& snap, size_t* gid, Key next,
-                               uint64_t* sum_out, Key* gate_high) const;
+  /// The one gate reader (reader protocol above): find the gate holding
+  /// `key`, starting at *gid and walking by fences, and run
+  /// `read(gate, version, high_fence)` on it — in a validated seqlock
+  /// window, or under the READ latch once `optimistic_retries_` windows
+  /// and walks failed. *gid is left at the gate read. `read` returns
+  /// false to abandon a torn window early and may run several times, so
+  /// it must rewrite all its outputs on every call.
+  template <typename Read>
+  ReadPath ReadGateOf(Structure* snap, size_t* gid, Key key,
+                      Read&& read) const;
 
   /// True if the effective spread policy is adaptive (paper: one-by-one
   /// leverages adaptive rebalancing, batch uses traditional).

@@ -145,12 +145,6 @@ bool Gate::WriterRelease() {
   return true;
 }
 
-void Gate::OwnerPushBack(const GateOp& op) {
-  std::lock_guard<std::mutex> lk(m_);
-  CPMA_CHECK(state_ == State::kWrite);
-  queue_.push_back(op);
-}
-
 void Gate::OwnerPushFront(const std::vector<GateOp>& ops) {
   std::lock_guard<std::mutex> lk(m_);
   CPMA_CHECK(state_ == State::kWrite);

@@ -127,10 +127,6 @@ class Gate {
   /// draining (new ops arrived).
   bool WriterRelease();
 
-  /// Active writer: push its own (or re-sorted) ops back onto the queue,
-  /// e.g. when deferring a batch to the rebalancer.
-  void OwnerPushBack(const GateOp& op);
-
   /// Active writer: prepend older ops (a batch remainder) ahead of any
   /// updates that arrived while the batch was being processed, keeping
   /// per-key arrival order intact.

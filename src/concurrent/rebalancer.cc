@@ -368,7 +368,7 @@ void Rebalancer::HandleWindowWork(const Request& req) {
         pma_->count_.fetch_sub(del, std::memory_order_relaxed);
         pma_->stat_batches_.fetch_add(1, std::memory_order_relaxed);
       }
-      UpdateFences(snap, b / spg, e / spg);
+      RecomputeFences(snap, b / spg, e / spg);
       const int64_t now = NowMillis();
       for (size_t g = b / spg; g < e / spg; ++g) {
         snap->gates[g].set_last_global_rebalance_ms(now);
@@ -479,10 +479,6 @@ void Rebalancer::ExecuteMergedSpread(Structure* snap, size_t seg_b,
   WindowPlan plan = PlanMergedSpread(*st, seg_b, seg_e, merged_total);
   MergedCopyToBuffer(st, plan, ops);
   FinishSpread(st, plan, /*swap=*/true);
-}
-
-void Rebalancer::UpdateFences(Structure* snap, size_t gb, size_t ge) {
-  RecomputeFences(snap, gb, ge);
 }
 
 bool Rebalancer::ExecuteResize(Structure* snap, std::deque<GateOp> extra) {

@@ -136,10 +136,6 @@ class Rebalancer {
                            const std::vector<BatchEntry>& ops,
                            size_t merged_total);
 
-  /// Recompute fence keys + index separators for gates [gb, ge) after
-  /// their chunks changed. Caller holds all these gates.
-  void UpdateFences(Structure* snap, size_t gb, size_t ge);
-
   /// Full resize: requires *all* gates held ([gb,ge) == [0,num_gates)).
   /// Drains every combining queue, merges those updates plus `extra`,
   /// publishes a new snapshot and invalidates the old gates.

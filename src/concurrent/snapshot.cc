@@ -72,11 +72,7 @@ void ConcurrentPMA::PreserveGateSlow(Structure* snap, Gate* gate) const {
     e->low_fence = gate->low_fence();
     e->high_fence = gate->high_fence();
     e->cards.resize(se - sb);
-    e->routes.resize(se - sb);
-    for (size_t i = 0; i < se - sb; ++i) {
-      e->cards[i] = st->card(sb + i);
-      e->routes[i] = st->route(sb + i);
-    }
+    for (size_t i = 0; i < se - sb; ++i) e->cards[i] = st->card(sb + i);
     // Try the zero-copy freeze first. kStale (the region was re-backed
     // by a rewire since the view was captured) and kUnavailable (alloc
     // or mmap failure mid-freeze) both degrade to one heap copy of the
@@ -183,78 +179,54 @@ void PMASnapshot::MaterializeGate(size_t g, std::vector<char>* scratch,
                                   std::vector<uint32_t>* cards, Key* low,
                                   Key* high) const {
   const GateSnap* e = entries_[g].load(std::memory_order_acquire);
-  if (e != nullptr) {
-    MaterializeFromEntry(*e, g, scratch, cards, low, high);
-    return;
-  }
-  Gate& gate = snap_->gates[g];
-  const Storage& st = *snap_->storage;
-  const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
-  const size_t sb = gate.seg_begin();
-  const size_t se = gate.seg_end();
-  scratch->resize((se - sb) * B * sizeof(Item));
-  cards->resize(se - sb);
-  Item* items = reinterpret_cast<Item*>(scratch->data());
-
-  // Entry absent => no post-snapshot mutation has committed on this
-  // gate, so the live chunk IS the frozen image. Two optimistic
-  // attempts (tagged reads inside a validated seqlock window), then the
-  // blocking READ latch. Whichever path completes, the entry slot is
-  // re-checked afterwards: a writer that preserved + mutated entirely
-  // inside our window must win with its pre-image.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    const uint64_t v = gate.version().ReadBegin();
-    if (!SeqVersion::Stable(v)) continue;
-    *low = gate.low_fence();
-    *high = gate.high_fence();
-    for (size_t s = sb; s < se; ++s) {
-      const uint32_t card = std::min(st.card(s), B);
-      (*cards)[s - sb] = card;
-      hotpath::TaggedReadItems(items + (s - sb) * B, st.segment(s), card);
+  if (e == nullptr) {
+    // Entry absent => no post-snapshot mutation has committed on this
+    // gate, so the live chunk IS the frozen image. Copy it in a
+    // validated seqlock window, at most the PMA's optimistic retry
+    // budget times, else under the blocking READ latch; a retired
+    // Structure (a resize merged *out* of it) never mutates again, so
+    // there a plain copy is the frozen image — no restart, ever. This is
+    // not ConcurrentPMA::ReadGateOf: it reads gate g by index with no
+    // fence walk. Whichever way it copied, the entry slot is re-checked
+    // afterwards: a writer that preserved + mutated entirely inside our
+    // window wins with its pre-image.
+    Gate& gate = snap_->gates[g];
+    const Storage& st = *snap_->storage;
+    const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
+    const size_t sb = gate.seg_begin();
+    const size_t se = gate.seg_end();
+    scratch->resize((se - sb) * B * sizeof(Item));
+    cards->resize(se - sb);
+    Item* items = reinterpret_cast<Item*>(scratch->data());
+    const auto copy_live = [&] {
+      *low = gate.low_fence();
+      *high = gate.high_fence();
+      for (size_t s = sb; s < se; ++s) {
+        const uint32_t card = std::min(st.card(s), B);
+        (*cards)[s - sb] = card;
+        hotpath::TaggedReadItems(items + (s - sb) * B, st.segment(s), card);
+      }
+    };
+    bool copied = false;
+    for (int attempt = 0; attempt < pma_->optimistic_retries() && !copied;
+         ++attempt) {
+      const uint64_t v = gate.version().ReadBegin();
+      if (!SeqVersion::Stable(v)) continue;
+      copy_live();
+      copied = gate.version().Validate(v);
     }
-    if (!gate.version().Validate(v)) continue;
-    const GateSnap* e2 = entries_[g].load(std::memory_order_acquire);
-    if (e2 != nullptr) {
-      MaterializeFromEntry(*e2, g, scratch, cards, low, high);
+    if (!copied) {
+      const bool latched = gate.ReaderAccess(nullptr) == GateAccess::kOwner;
+      copy_live();
+      if (latched) {
+        gate.ReaderRelease();
+        latched_gate_reads_.fetch_add(1, std::memory_order_relaxed);
+      }
     }
-    return;
+    e = entries_[g].load(std::memory_order_acquire);
+    if (e == nullptr) return;
   }
-
-  const GateAccess a = gate.ReaderAccess(nullptr);
-  if (a == GateAccess::kOwner) {
-    latched_gate_reads_.fetch_add(1, std::memory_order_relaxed);
-    const GateSnap* e2 = entries_[g].load(std::memory_order_acquire);
-    if (e2 != nullptr) {
-      gate.ReaderRelease();
-      MaterializeFromEntry(*e2, g, scratch, cards, low, high);
-      return;
-    }
-    *low = gate.low_fence();
-    *high = gate.high_fence();
-    for (size_t s = sb; s < se; ++s) {
-      const uint32_t card = std::min(st.card(s), B);
-      (*cards)[s - sb] = card;
-      hotpath::TaggedReadItems(items + (s - sb) * B, st.segment(s), card);
-    }
-    gate.ReaderRelease();
-    return;
-  }
-  // kInvalidated: a resize retired our pinned Structure. Its storage is
-  // frozen forever (the resize merged *out* of it), so a plain read is
-  // the frozen image — no restart, ever.
-  CPMA_CHECK(a == GateAccess::kInvalidated);
-  const GateSnap* e2 = entries_[g].load(std::memory_order_acquire);
-  if (e2 != nullptr) {
-    MaterializeFromEntry(*e2, g, scratch, cards, low, high);
-    return;
-  }
-  *low = gate.low_fence();
-  *high = gate.high_fence();
-  for (size_t s = sb; s < se; ++s) {
-    const uint32_t card = std::min(st.card(s), B);
-    (*cards)[s - sb] = card;
-    hotpath::TaggedReadItems(items + (s - sb) * B, st.segment(s), card);
-  }
+  MaterializeFromEntry(*e, g, scratch, cards, low, high);
 }
 
 uint64_t PMASnapshot::SumAll() const {

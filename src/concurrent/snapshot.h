@@ -17,8 +17,8 @@
 // ordered scan with zero retries — there is structurally no restart
 // path in the reader below.
 //
-// Per-gate image (GateSnap): fence keys, cardinalities and routing keys
-// are small and always heap-copied under the preserving hold. The chunk
+// Per-gate image (GateSnap): fence keys and cardinalities are small
+// and always heap-copied under the preserving hold. The chunk
 // items either live in the COW view (interior pages frozen through
 // CowPreserveRange; the partial-page edge bytes, which may share pages
 // with neighbouring chunks, are heap-copied fragments) or — when the
@@ -26,7 +26,8 @@
 // copy of the chunk. Readers materialize a gate from its entry when
 // present; an absent entry means the gate is untouched since capture,
 // so a validated optimistic read of the live chunk (or the blocking
-// READ latch after the two-attempt budget) returns the frozen image.
+// READ latch once the PMA's optimistic retry budget is spent) returns
+// the frozen image.
 // After any live read the reader re-checks the entry slot: a writer
 // that preserved + mutated + released entirely inside the read window
 // wins, and its entry is used instead.
@@ -62,7 +63,6 @@ struct GateSnap {
   Key low_fence = kKeyMin;
   Key high_fence = kKeySentinel;
   std::vector<uint32_t> cards;  // per segment of the chunk
-  std::vector<Key> routes;      // per segment of the chunk
 
   // true: the chunk's page-aligned interior is frozen in the COW view;
   // `head`/`tail` carry the partial-page edge bytes. false: `full` is
@@ -74,8 +74,7 @@ struct GateSnap {
 
   size_t bytes() const {
     return sizeof(GateSnap) + cards.capacity() * sizeof(uint32_t) +
-           routes.capacity() * sizeof(Key) + head.capacity() +
-           tail.capacity() + full.capacity();
+           head.capacity() + tail.capacity() + full.capacity();
   }
 };
 

@@ -118,7 +118,7 @@ TEST(Gate, QueueAcceptsOpsWhileTransferred) {
 TEST(Gate, DetachKeepsQueueAccumulating) {
   Gate g(0, 0, 8);
   ASSERT_EQ(g.WriterAccess(Ins(1), true), GateAccess::kOwner);
-  g.OwnerPushBack(Ins(1));
+  g.OwnerPushFront({Ins(1)});
   g.WriterDetachKeepQueue();
   // Gate is FREE but the combiner slot is taken: writers queue, readers
   // pass.

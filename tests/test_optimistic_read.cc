@@ -19,6 +19,9 @@
 //  - ShortScansCompleteUnderAppends: short scans at the appended right
 //    edge, where rebalances move fences constantly, return every key
 //    inserted before they began — none skipped across a moved fence.
+//  - *ReadersCompleteUnderChurn: SumAll, Scan and Find stay exact on a
+//    pinned key set while waves of inserts and removals around it move
+//    fences, on the optimistic path and with every read latched.
 //  - ForcedFallback*: CPMA_OPTIMISTIC_RETRIES=0 disables the optimistic
 //    path; the blocking latch protocol must pass the same checks, and
 //    the fallback counter proves which path served the reads.
@@ -316,6 +319,93 @@ TEST(OptimisticRead, ShortScansCompleteUnderAppends) {
   EXPECT_EQ(gapped.load(), 0u) << "of " << scans.load() << " scans";
   EXPECT_GT(scans.load(), 0u);
   EXPECT_GT(frontier(), kPreload);  // the appenders moved the edge
+}
+
+// Every reader stays exact while fences move: 4,096 pinned keys (the
+// multiples of 4, value 1) are never touched, while two writers insert
+// and then remove the keys between them (value 0) in waves, driving
+// global rebalances, resizes and shrinks under the readers. SumAll, a
+// full Scan and Find of a pinned key must each see exactly the pinned
+// set, however the read was served: `budget` 0 puts every read on the
+// READ latch.
+void RunReadersCompleteUnderChurn(int budget) {
+  ConcurrentConfig cfg = SmallGateConfig(ConcurrentConfig::AsyncMode::kSync);
+  cfg.optimistic_retries = budget;
+  ConcurrentPMA pma(cfg);
+  constexpr Key kPinned = 4096;
+  constexpr Key kTop = 4 * kPinned;
+  for (Key k = 4; k <= kTop; k += 4) pma.Insert(k, 1);
+  pma.Flush();
+
+  // Writers stop only between waves, so each finishes at least one.
+  // Inserting downwards makes rebalances push keys left, across the low
+  // fence a stale descent must walk back over.
+  std::atomic<bool> stop_writers{false}, stop_readers{false};
+  std::vector<std::thread> writers;
+  for (Key w = 0; w < 2; ++w) {
+    writers.emplace_back([&, w] {
+      auto mine = [&](Key k) { return k % 4 != 0 && (k / 4) % 2 == w; };
+      do {
+        for (Key k = kTop; k-- > 1;) {
+          if (mine(k)) pma.Insert(k, 0);
+        }
+        for (Key k = 1; k < kTop; ++k) {
+          if (mine(k)) pma.Remove(k);
+        }
+      } while (!stop_writers.load(std::memory_order_relaxed));
+    });
+  }
+  std::atomic<uint64_t> bad_sums{0}, bad_scans{0}, bad_finds{0}, passes{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      Random rng(0xC4u + static_cast<uint64_t>(t));
+      while (!stop_readers.load(std::memory_order_relaxed)) {
+        if (pma.SumAll() != kPinned) bad_sums.fetch_add(1);
+        Key prev = 0;
+        uint64_t sum = 0;
+        bool ok = true;
+        pma.Scan(kKeyMin, kKeyMax, [&](Key k, Value v) {
+          ok = ok && k > prev && (k % 4 == 0) == (v == 1);
+          prev = k;
+          sum += v;
+          return true;
+        });
+        if (!ok || sum != kPinned) bad_scans.fetch_add(1);
+        for (int i = 0; i < 64; ++i) {
+          const Key k = 4 * (1 + rng.NextBounded(kPinned));
+          Value v = 0;
+          if (!pma.Find(k, &v) || v != 1) bad_finds.fetch_add(1);
+        }
+        passes.fetch_add(1);
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::seconds(2));
+  stop_writers.store(true);
+  for (auto& th : writers) th.join();
+  stop_readers.store(true);
+  for (auto& th : readers) th.join();
+
+  EXPECT_EQ(bad_sums.load(), 0u) << "of " << passes.load() << " passes";
+  EXPECT_EQ(bad_scans.load(), 0u) << "of " << passes.load() << " passes";
+  EXPECT_EQ(bad_finds.load(), 0u) << "of " << passes.load() << " passes";
+  EXPECT_GT(passes.load(), 0u);
+  // The fences must actually have moved for the test to mean anything.
+  EXPECT_GT(pma.num_global_rebalances(), 0u);
+  EXPECT_GT(pma.num_resizes(), 0u);
+  pma.Flush();
+  std::string err;
+  EXPECT_TRUE(pma.CheckInvariants(&err)) << err;
+  EXPECT_EQ(pma.Size(), static_cast<size_t>(kPinned));
+}
+
+TEST(OptimisticRead, ReadersCompleteUnderChurn) {
+  RunReadersCompleteUnderChurn(/*budget=*/8);
+}
+
+TEST(OptimisticRead, ForcedFallbackReadersCompleteUnderChurn) {
+  RunReadersCompleteUnderChurn(/*budget=*/0);
 }
 
 TEST(OptimisticRead, ForcedFallbackMatchesBlocking) {
