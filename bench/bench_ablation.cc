@@ -7,13 +7,14 @@
 //  --what=segment  PMA segment capacity 128 -> 256: ~15% faster scans,
 //                  ~15% slower uniform updates, faster skewed updates
 //                  (fewer rebalances with larger segments).
-//  --what=rewire   extra ablation from DESIGN.md: rebalances with memory
-//                  rewiring vs the two-copy fallback.
+//  --what=rewire   extra ablation from DESIGN.md: rebalances published
+//                  by memory rewiring vs the two-copy default.
 //  --what=adaptive extra ablation: adaptive vs traditional rebalancing
-//                  under skewed insertions (sequential PMA counters).
+//                  under skewed insertions (sequential PMA counters),
+//                  and right-edge appends into a sync ConcurrentPMA
+//                  (global and local rebalance counters).
 
 #include <cinttypes>
-#include <memory>
 
 #include "baselines/art/art.h"
 #include "concurrent/concurrent_pma.h"
@@ -33,16 +34,16 @@ WorkloadConfig BaseConfig(size_t ops, uint64_t range, Dist dist) {
   return w;
 }
 
-std::unique_ptr<ConcurrentPMA> MakePma(size_t segment_capacity,
-                                       bool use_rewiring = true) {
+// The paper's batch-mode PMA. The publish mechanism is the library
+// default; only the rewire arm overrides it.
+ConcurrentConfig PmaConfigFor(size_t segment_capacity) {
   ConcurrentConfig cfg;
   cfg.pma.segment_capacity = segment_capacity;
-  cfg.pma.use_rewiring = use_rewiring;
   cfg.segments_per_gate = 8;
   cfg.rebalancer_workers = 8;
   cfg.async_mode = ConcurrentConfig::AsyncMode::kBatch;
   cfg.t_delay_ms = 100;
-  return std::make_unique<ConcurrentPMA>(cfg);
+  return cfg;
 }
 
 void Row(const char* what, const char* label, OrderedMap* m,
@@ -78,8 +79,8 @@ void LeafAblation(size_t ops, uint64_t range, BenchJson* json) {
       Row("leaf", leaf == 4096 ? "ART(4KiB leaves)" : "ART(8KiB leaves)",
           &art, BaseConfig(ops, range, d), json);
     }
-    auto pma = MakePma(128);
-    Row("leaf", "PMA(B=128)", pma.get(), BaseConfig(ops, range, d), json);
+    ConcurrentPMA pma(PmaConfigFor(128));
+    Row("leaf", "PMA(B=128)", &pma, BaseConfig(ops, range, d), json);
   }
 }
 
@@ -89,8 +90,8 @@ void SegmentAblation(size_t ops, uint64_t range, BenchJson* json) {
               "updates[M/s]", "scans[Melt/s]");
   for (Dist d : {Dist::kUniform, Dist::kZipf15}) {
     for (size_t seg : {128u, 256u}) {
-      auto pma = MakePma(seg);
-      Row("segment", seg == 128 ? "PMA(B=128)" : "PMA(B=256)", pma.get(),
+      ConcurrentPMA pma(PmaConfigFor(seg));
+      Row("segment", seg == 128 ? "PMA(B=128)" : "PMA(B=256)", &pma,
           BaseConfig(ops, range, d), json);
     }
   }
@@ -102,8 +103,10 @@ void RewireAblation(size_t ops, uint64_t range, BenchJson* json) {
               "updates[M/s]", "scans[Melt/s]");
   for (Dist d : {Dist::kUniform, Dist::kZipf15}) {
     for (bool rewire : {true, false}) {
-      auto pma = MakePma(128, rewire);
-      Row("rewire", rewire ? "PMA(rewired)" : "PMA(two-copy)", pma.get(),
+      ConcurrentConfig cfg = PmaConfigFor(128);
+      cfg.pma.use_rewiring = rewire;
+      ConcurrentPMA pma(cfg);
+      Row("rewire", rewire ? "PMA(rewired)" : "PMA(two-copy)", &pma,
           BaseConfig(ops, range, d), json);
     }
   }
@@ -135,6 +138,39 @@ void AdaptiveAblation(size_t ops, uint64_t range, BenchJson* json) {
         .Int("ops", ops)
         .Num("update_mops", static_cast<double>(ops) / secs / 1e6)
         .Int("rebalances", pma.num_rebalances())
+        .Num("seconds", secs);
+  }
+  // Right-edge appends through one sync client, the ycsb_e write path:
+  // every global window there is a merged spread (the writer hands its
+  // op over inside its gate's queue), so this arm shows whether merged
+  // spreads follow the predictor. Preload `ops` even keys ascending, then
+  // time and count appending `ops` consecutive keys above them.
+  std::printf("%-22s %-10s %14s %16s %10s\n", "policy", "pattern",
+              "updates[M/s]", "global_rebal", "local");
+  for (bool adaptive : {true, false}) {
+    ConcurrentConfig cfg;
+    cfg.async_mode = ConcurrentConfig::AsyncMode::kSync;
+    cfg.pma.adaptive = adaptive;
+    ConcurrentPMA pma(cfg);
+    for (Key k = 1; k <= ops; ++k) pma.Insert(2 * k, k);
+    const uint64_t global0 = pma.num_global_rebalances();
+    const uint64_t local0 = pma.num_local_rebalances();
+    Timer t;
+    for (Key k = 1; k <= ops; ++k) pma.Insert(2 * ops + k, k);
+    const double secs = t.ElapsedSeconds();
+    const uint64_t global = pma.num_global_rebalances() - global0;
+    const uint64_t local = pma.num_local_rebalances() - local0;
+    std::printf("%-22s %-10s %14.3f %16" PRIu64 " %10" PRIu64 "\n",
+                adaptive ? "adaptive(sync)" : "traditional(sync)", "append",
+                static_cast<double>(ops) / secs / 1e6, global, local);
+    json->Add()
+        .Str("what", "adaptive")
+        .Str("structure", adaptive ? "adaptive_sync" : "traditional_sync")
+        .Str("dist", "append")
+        .Int("ops", ops)
+        .Num("update_mops", static_cast<double>(ops) / secs / 1e6)
+        .Int("global_rebalances", global)
+        .Int("local_rebalances", local)
         .Num("seconds", secs);
   }
   (void)range;

@@ -94,6 +94,10 @@ void FillSkewed(Storage* st) {
   st->RebuildRoutes(0, st->num_segments());
 }
 
+// Storages follow the library's default publish (copy; rewiring is the
+// opt-in A/B arm measured by bench_ablation --what=rewire).
+constexpr bool kUseRewiring = PmaConfig{}.use_rewiring;
+
 size_t LiveCount(const Storage& st) {
   size_t m = 0;
   for (size_t s = 0; s < st.num_segments(); ++s) m += st.card(s);
@@ -102,7 +106,7 @@ size_t LiveCount(const Storage& st) {
 
 void BenchSpread(BenchJson* json, uint64_t segments, uint64_t reps,
                  bool skewed) {
-  Storage st(segments, 128, /*use_rewiring=*/true);
+  Storage st(segments, 128, kUseRewiring);
   if (skewed) {
     FillSkewed(&st);
   } else {
@@ -122,7 +126,7 @@ void BenchSpread(BenchJson* json, uint64_t segments, uint64_t reps,
 
 void BenchMergedSpread(BenchJson* json, uint64_t segments, uint64_t batch,
                        uint64_t reps) {
-  Storage st(segments, 128, /*use_rewiring=*/true);
+  Storage st(segments, 128, kUseRewiring);
   FillEven(&st, 64);  // keys 1..m
   const size_t m = LiveCount(st);
   // Batch: 50% new inserts (odd gaps above m), 25% upserts, 25% deletes.
@@ -156,12 +160,12 @@ void BenchMergedSpread(BenchJson* json, uint64_t segments, uint64_t batch,
 }
 
 void BenchResizeStream(BenchJson* json, uint64_t segments, uint64_t reps) {
-  Storage st(segments, 128, /*use_rewiring=*/true);
+  Storage st(segments, 128, kUseRewiring);
   FillEven(&st, 77);
   const size_t m = LiveCount(st);
   const std::vector<BatchEntry> no_ops;
   const Best best = BestOf(reps, m, [&] {
-    Storage fresh(segments * 2, 128, /*use_rewiring=*/true);
+    Storage fresh(segments * 2, 128, kUseRewiring);
     MergedStreamInto(st, no_ops, m, &fresh);
   });
   Report(json, "resize_stream", best, "el", m);

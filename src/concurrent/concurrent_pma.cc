@@ -502,7 +502,7 @@ bool ConcurrentPMA::TryMergedGateSpread(Structure* snap, Gate* gate,
       total + (e - b) > cap) {
     return false;
   }
-  WindowPlan plan = PlanMergedSpread(*st, b, e, total);
+  WindowPlan plan = PlanMergedSpread(*st, b, e, total, adaptive_effective());
   MergedCopyToBuffer(st, plan, ops);
   FinishSpread(st, plan);
   count_.fetch_add(ins, std::memory_order_relaxed);
@@ -817,12 +817,6 @@ void ConcurrentPMA::Scan(Key min, Key max, const ScanCallback& cb) const {
 }
 
 // ------------------------------------------------- storage observability
-
-bool ConcurrentPMA::storage_rewiring_enabled() const {
-  EpochGuard guard(gc_);
-  return structure_.load(std::memory_order_acquire)
-      ->storage->rewiring_enabled();
-}
 
 size_t ConcurrentPMA::storage_page_bytes() const {
   EpochGuard guard(gc_);

@@ -233,10 +233,8 @@ class ConcurrentPMA : public OrderedMap {
   /// soaks drive Collect() and the collector stepping hooks).
   EpochGC& epoch_gc() const { return gc_; }
 
-  // Storage observability (ROADMAP huge-page visibility): what publish
-  // mechanism and page size the current snapshot actually uses, for
-  // bench JSON records.
-  bool storage_rewiring_enabled() const;
+  // Storage observability (ROADMAP huge-page visibility): the page size
+  // and publish counters of the current snapshot, for bench JSON records.
   size_t storage_page_bytes() const;
   size_t storage_backing_page_bytes() const;
   uint64_t storage_num_remaps() const;
@@ -245,10 +243,10 @@ class ConcurrentPMA : public OrderedMap {
 
   // ------------------------------------------- fault tolerance (ISSUE 7)
 
-  /// True when the current snapshot publishes rebalances by copy instead
-  /// of zero-copy remaps: anonymous fallback backend (memfd/mmap denied
-  /// or CPMA_FORCE_NO_REWIRE=1), use_rewiring=false, or a region that
-  /// degraded after a remap publication failure.
+  /// True when the current snapshot's storage runs degraded: anonymous
+  /// fallback backend (memfd/mmap denied or CPMA_FORCE_NO_REWIRE=1), or
+  /// a region that degraded after a remap publication failure. Copy
+  /// publishes under the default use_rewiring=false are not degraded.
   bool fallback_backend_active() const;
 
   /// Install a callback fired (from the rebalancer master thread) every

@@ -423,8 +423,9 @@ void Rebalancer::ExecuteSpread(Structure* snap, size_t seg_b, size_t seg_e,
       window_gates >= pma_->cfg_.parallel_rebalance_min_gates) {
     // Phase 1: all partitions copy into the buffer (reads from the live
     // array never conflict with buffer writes). Phase 2: only after every
-    // copy completed are the pages rewired — the "delayed rewiring"
-    // coordination of §3.3.
+    // copy completed is each partition published — the "delayed
+    // rewiring" coordination of §3.3, which holds for the default copy
+    // publish as for the opt-in page remap (Storage::SwapWindow).
     //
     // Partition boundaries balance *live elements*, not gate counts: a
     // partition's copy cost is the elements it writes, and skewed
@@ -476,7 +477,8 @@ void Rebalancer::ExecuteMergedSpread(Structure* snap, size_t seg_b,
                                      const std::vector<BatchEntry>& ops,
                                      size_t merged_total) {
   Storage* st = snap->storage.get();
-  WindowPlan plan = PlanMergedSpread(*st, seg_b, seg_e, merged_total);
+  WindowPlan plan = PlanMergedSpread(*st, seg_b, seg_e, merged_total,
+                                     pma_->adaptive_effective());
   MergedCopyToBuffer(st, plan, ops);
   FinishSpread(st, plan, /*swap=*/true);
 }

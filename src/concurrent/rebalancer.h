@@ -4,11 +4,16 @@
 // Writers that detect a rebalance spanning multiple gates transfer their
 // gate latch to the service (Gate::TransferToRebalancer) and enqueue a
 // request; the master computes the final window by walking the calibrator
-// tree upward, acquiring the gates it grows over, then splits the window
-// into partitions executed by the workers: each partition is copied into
-// the rewired buffer concurrently (reads from the live array, writes to
-// the buffer), and only after *all* partitions finished copying are the
-// page mappings swapped — the "delayed rewiring" coordination of §3.3.
+// tree upward, acquiring the gates it grows over and draining their
+// combining queues. When it drained ops — always in batch mode, and
+// whenever the requesting writer's own op is still queued in sync and
+// one-by-one modes — the master folds them into one merged spread
+// itself. Otherwise it splits the window into partitions executed by the
+// workers: each partition is copied into the buffer concurrently (reads
+// from the live array, writes to the buffer), and only after *all*
+// partitions finished copying are they published (Storage::SwapWindow:
+// copy, or page remap when opted in) — the "delayed rewiring"
+// coordination of §3.3.
 //
 // Batch requests (async batch mode, §3.5) carry a due time (t_delay
 // throttle); the master merges the gate's combining queue into the

@@ -1,10 +1,8 @@
 #include "pma/sequential_pma.h"
 
-#include <algorithm>
 #include <cstring>
 #include <sstream>
 
-#include "common/hotpath/copy.h"
 #include "common/hotpath/search.h"
 #include "pma/spread.h"
 
@@ -194,49 +192,9 @@ void SequentialPMA::Resize(size_t new_num_segments) {
   auto fresh = std::make_unique<Storage>(new_num_segments,
                                          config_.segment_capacity,
                                          config_.use_rewiring);
-  // Targets for the fresh array: even spread (resizes always use the
-  // traditional policy; the predictor is reset).
-  const size_t n = new_num_segments;
-  const size_t m = count_;
-  std::vector<uint32_t> target(n, 0);
-  if (m < n) {
-    for (size_t j = 0; j < m; ++j) target[j] = 1;
-  } else {
-    for (size_t j = 0; j < n; ++j) {
-      target[j] = static_cast<uint32_t>(m / n + (j < m % n ? 1 : 0));
-    }
-  }
-  // Stream old live elements into the new region in order, a run at a
-  // time (two-pointer repack, same idiom as the spread's
-  // CopyPartitionToBuffer) instead of item-by-item: resizes copy every
-  // element, so they sit on the insert path's amortized cost. Regions
-  // beyond the LLC use the non-temporal copy kernel (hotpath/copy.h).
-  const bool stream = hotpath::StreamCopyPreferred(
-      n * config_.segment_capacity * sizeof(Item));
-  size_t out_seg = 0;
-  uint32_t out_pos = 0;
-  const size_t old_n = storage_->num_segments();
-  for (size_t s = 0; s < old_n; ++s) {
-    const Item* seg = storage_->segment(s);
-    uint32_t in_pos = 0;
-    const uint32_t card = storage_->card(s);
-    while (in_pos < card) {
-      while (out_seg < n && out_pos >= target[out_seg]) {
-        ++out_seg;
-        out_pos = 0;
-      }
-      CPMA_CHECK(out_seg < n);
-      const uint32_t chunk =
-          std::min(card - in_pos, target[out_seg] - out_pos);
-      hotpath::CopyItems(fresh->segment(out_seg) + out_pos, seg + in_pos,
-                         chunk, stream);
-      in_pos += chunk;
-      out_pos += chunk;
-    }
-  }
-  hotpath::StreamCopyFlush(stream);
-  for (size_t j = 0; j < n; ++j) fresh->set_card(j, target[j]);
-  fresh->RebuildRoutes(0, n);
+  // Resizes always use the even split (the predictor is reset); with no
+  // ops the merged stream is a run-at-a-time repack of the old array.
+  MergedStreamInto(*storage_, /*ops=*/{}, count_, fresh.get());
   storage_ = std::move(fresh);
 }
 

@@ -53,60 +53,61 @@ std::vector<uint32_t> AllocateGaps(const std::vector<uint64_t>& weights,
   return gap;
 }
 
-}  // namespace
-
-WindowPlan PlanSpread(const Storage& st, size_t seg_begin, size_t seg_end,
-                      bool adaptive, size_t trigger_seg) {
-  WindowPlan plan;
-  plan.seg_begin = seg_begin;
-  plan.seg_end = seg_end;
+/// The one target planner: how many of the window's `m` elements each
+/// segment of [seg_begin, seg_end) receives. Adaptive plans weight the
+/// gaps by the insertion predictor inside the feasible band; otherwise
+/// the split is even (±1, the extra elements to the left).
+std::vector<uint32_t> PlanTargets(const Storage& st, size_t seg_begin,
+                                  size_t seg_end, size_t m, bool adaptive) {
   const size_t n = seg_end - seg_begin;
   const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
-  plan.input_card.resize(n);
-  for (size_t j = 0; j < n; ++j) {
-    plan.input_card[j] = st.card(seg_begin + j);
-    plan.total += plan.input_card[j];
-  }
-  const size_t m = plan.total;
-  plan.target_card.assign(n, 0);
-
+  std::vector<uint32_t> target(n, 0);
   if (m < n) {
     // Fewer elements than segments (only possible at minimum capacity):
     // left-pack one element per segment; empty segments form a suffix,
     // which keeps the routing table well-defined.
-    for (size_t j = 0; j < m; ++j) plan.target_card[j] = 1;
-    return plan;
+    for (size_t j = 0; j < m; ++j) target[j] = 1;
+    return target;
   }
-
   CPMA_CHECK_MSG(m <= n * size_t{B}, "window overflow");
-  const uint64_t gaps = n * uint64_t{B} - m;
-
-  std::vector<uint64_t> weights(n, 1);
-  if (adaptive) {
-    // Gaps follow predicted insertions: weight = 1 + decayed counter.
+  if (!adaptive) {
     for (size_t j = 0; j < n; ++j) {
-      weights[j] = 1 + st.insert_count(seg_begin + j);
+      target[j] = static_cast<uint32_t>(m / n + (j < m % n ? 1 : 0));
     }
+    return target;
   }
-  // Allocate inside the feasible per-segment gap band up front instead
-  // of fixing violations afterwards. The ceiling B-1 keeps >= 1 element
-  // everywhere (a fully-gapped segment would break routing); the floor
-  // of 1 gap applies whenever the window is sparse enough (m <= n*(B-1))
-  // and guarantees every segment ends with a free slot — after the
-  // spread the pending key may route to *any* window segment, so a full
-  // segment anywhere would make the caller's retry loop spin. The old
-  // repair loops moved one element per max/min_element rescan, O(n^2)
-  // per plan on skewed adaptive windows (a hot append segment soaks up
-  // all gaps and every cold segment needed repair); banded allocation is
-  // one pass.
+  // Gaps follow predicted insertions: weight = 1 + decayed counter.
+  std::vector<uint64_t> weights(n);
+  for (size_t j = 0; j < n; ++j) {
+    weights[j] = 1 + st.insert_count(seg_begin + j);
+  }
+  // Allocate inside the feasible per-segment gap band in one pass. The
+  // ceiling B-1 keeps >= 1 element everywhere (a fully-gapped segment
+  // would break routing); the floor of 1 gap applies whenever the window
+  // is sparse enough (m <= n*(B-1)) and guarantees every segment ends
+  // with a free slot — after the spread the next op may route to *any*
+  // window segment, so a full segment anywhere would make the caller's
+  // retry loop spin. The even split above stays inside the same band.
+  const uint64_t gaps = n * uint64_t{B} - m;
   const uint32_t gap_floor = (m <= n * size_t{B - 1}) ? 1 : 0;
   std::vector<uint32_t> gap = AllocateGaps(
       weights, gaps - uint64_t{gap_floor} * n, B - 1 - gap_floor);
-  for (size_t j = 0; j < n; ++j) {
-    plan.target_card[j] = B - gap_floor - gap[j];
-  }
+  for (size_t j = 0; j < n; ++j) target[j] = B - gap_floor - gap[j];
+  return target;
+}
 
-  // Guarantee room in the trigger segment for the pending insertion.
+}  // namespace
+
+WindowPlan PlanSpread(const Storage& st, size_t seg_begin, size_t seg_end,
+                      bool adaptive, size_t trigger_seg) {
+  // A plain spread is a merged spread with no ops.
+  size_t total = 0;
+  for (size_t s = seg_begin; s < seg_end; ++s) total += st.card(s);
+  WindowPlan plan = PlanMergedSpread(st, seg_begin, seg_end, total, adaptive);
+
+  // Guarantee room in the trigger segment for the pending insertion
+  // (only a window denser than n*(B-1) can leave it full).
+  const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
   if (trigger_seg != SIZE_MAX) {
     CPMA_CHECK(trigger_seg >= seg_begin && trigger_seg < seg_end);
     const size_t t = trigger_seg - seg_begin;
@@ -225,24 +226,15 @@ size_t CountMerged(const Storage& st, size_t seg_begin, size_t seg_end,
 }
 
 WindowPlan PlanMergedSpread(const Storage& st, size_t seg_begin,
-                            size_t seg_end, size_t merged_total) {
+                            size_t seg_end, size_t merged_total,
+                            bool adaptive) {
   WindowPlan plan;
   plan.seg_begin = seg_begin;
   plan.seg_end = seg_end;
   plan.total = merged_total;
   plan.input_card = SnapshotCards(st, seg_begin, seg_end);
-  const size_t n = seg_end - seg_begin;
-  const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
-  plan.target_card.assign(n, 0);
-  const size_t m = merged_total;
-  if (m < n) {
-    for (size_t j = 0; j < m; ++j) plan.target_card[j] = 1;
-    return plan;
-  }
-  CPMA_CHECK_MSG(m <= n * size_t{B}, "merged batch overflows window");
-  for (size_t j = 0; j < n; ++j) {
-    plan.target_card[j] = static_cast<uint32_t>(m / n + (j < m % n ? 1 : 0));
-  }
+  plan.target_card =
+      PlanTargets(st, seg_begin, seg_end, merged_total, adaptive);
   return plan;
 }
 
@@ -270,16 +262,8 @@ void MergedStreamInto(const Storage& old_st,
                       const std::vector<BatchEntry>& ops, size_t merged_total,
                       Storage* fresh) {
   const size_t n = fresh->num_segments();
-  const size_t m = merged_total;
-  std::vector<uint32_t> target(n, 0);
-  if (m < n) {
-    for (size_t j = 0; j < m; ++j) target[j] = 1;
-  } else {
-    CPMA_CHECK(m <= n * fresh->segment_capacity());
-    for (size_t j = 0; j < n; ++j) {
-      target[j] = static_cast<uint32_t>(m / n + (j < m % n ? 1 : 0));
-    }
-  }
+  const std::vector<uint32_t> target =
+      PlanTargets(*fresh, 0, n, merged_total, /*adaptive=*/false);
   const bool stream = hotpath::StreamCopyPreferred(
       n * fresh->segment_capacity() * sizeof(Item));
   hotpath::SegmentedRunWriter writer(fresh->segment(0),

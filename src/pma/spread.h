@@ -2,16 +2,17 @@
 // algorithm of the paper, factored so that the concurrent rebalancer can
 // run it partitioned across worker threads:
 //
-//   1. ComputeTargets decides how many elements every segment of the
-//      window receives (traditional: even split; adaptive: gaps follow
-//      the insertion predictor, paper §2 "Adaptive rebalancing").
+//   1. One target planner decides how many elements every segment of
+//      the window receives (traditional: even split; adaptive: gaps
+//      follow the insertion predictor, paper §2 "Adaptive rebalancing").
+//      Plain spreads, merged spreads and resizes all use it.
 //   2. CopyPartitionToBuffer streams the window's live elements, in
 //      order, into the *buffer* pages of an output sub-range. Input is
 //      only read, output goes to the buffer, so any number of partitions
 //      can run concurrently over the same window.
-//   3. Storage::SwapWindow publishes the buffer (page rewiring or one
-//      memcpy), after which the caller installs the new cardinalities
-//      and routing keys (FinishSpread).
+//   3. Storage::SwapWindow publishes the buffer (one copy by default,
+//      or page rewiring when opted in), after which the caller installs
+//      the new cardinalities and routing keys (FinishSpread).
 
 #pragma once
 
@@ -27,7 +28,7 @@ struct WindowPlan {
   size_t seg_end = 0;                // exclusive
   size_t total = 0;                  // live elements in the window
   std::vector<uint32_t> input_card;  // snapshot of card per window segment
-  std::vector<uint32_t> target_card; // decided by ComputeTargets
+  std::vector<uint32_t> target_card; // decided by the target planner
 };
 
 /// Build the plan for spreading [seg_begin, seg_end).
@@ -65,10 +66,16 @@ size_t CountMerged(const Storage& st, size_t seg_begin, size_t seg_end,
                    const std::vector<BatchEntry>& ops, size_t* inserted_new,
                    size_t* deleted_found);
 
-/// Build a plan whose total is the merged count (targets via the
-/// traditional policy — batch processing does not use the predictor).
+/// Build a plan whose total is the merged count. `adaptive` selects the
+/// same predictor-weighted targets as PlanSpread: the sync and
+/// one-by-one modes hand a writer's op to the rebalancer inside its
+/// gate's queue, so nearly every global window of theirs is a merged
+/// spread, and an even split there re-triggers right-edge windows ever
+/// more often. Batch mode keeps the even split (the default). No
+/// trigger slot is reserved: the ops are already merged in.
 WindowPlan PlanMergedSpread(const Storage& st, size_t seg_begin,
-                            size_t seg_end, size_t merged_total);
+                            size_t seg_end, size_t merged_total,
+                            bool adaptive = false);
 
 /// Stream merge(window, ops) into the storage buffer following the
 /// plan's targets. Single-threaded; publish with FinishSpread.
@@ -77,7 +84,8 @@ void MergedCopyToBuffer(Storage* st, const WindowPlan& plan,
 
 /// Resize path: stream merge(whole old storage, ops) into a fresh
 /// storage (even targets), installing its cardinalities and routes.
-/// `merged_total` must come from CountMerged over the whole array.
+/// `merged_total` must come from CountMerged over the whole array (or
+/// be the old element count when `ops` is empty).
 void MergedStreamInto(const Storage& old_st,
                       const std::vector<BatchEntry>& ops, size_t merged_total,
                       Storage* fresh);

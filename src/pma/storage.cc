@@ -22,8 +22,8 @@ bool Storage::Init(size_t num_segments, size_t segment_capacity,
   region_ = RewiredRegion::Create(bytes, bytes, /*want_huge_pages=*/true,
                                   status);
   if (region_ == nullptr) return false;
-  // With use_rewiring == false, SwapWindow always takes the memcpy path,
-  // which lets benchmarks compare rewired vs copy-based rebalancing.
+  // With use_rewiring == false (the default), SwapWindow always takes
+  // the copy path; true opts into page-remap publishes.
   force_copy_ = !use_rewiring;
   items_ = reinterpret_cast<Item*>(region_->data());
   buffer_ = reinterpret_cast<Item*>(region_->buffer());
@@ -89,7 +89,7 @@ void Storage::SwapWindow(size_t seg_begin, size_t seg_end) {
     return;
   }
 #endif
-  // Copy publish (alignment forbids a remap, use_rewiring=false, or a
+  // Copy publish (use_rewiring=false, alignment forbids a remap, or a
   // TSan build). The destination races with optimistic readers, so the
   // copy is tagged (plain memcpy in production, per-word atomics under
   // TSan — common/tagged.h). Under TSan the remap publish is disabled

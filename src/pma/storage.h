@@ -14,9 +14,11 @@
 //  - inserts[s]: decayed insertion counter driving adaptive rebalancing.
 //
 // The region owns an equally sized buffer. Rebalances write the new
-// layout into the buffer and publish it with SwapWindow(), which rewires
-// page mappings when alignment permits and falls back to one memcpy
-// otherwise (see rewiring/rewiring.h).
+// layout into the buffer and publish it with SwapWindow(): one tagged
+// copy by default, or — with use_rewiring, the opt-in A/B arm — a page
+// remap when alignment permits (see rewiring/rewiring.h and the measured
+// costs in PmaConfig::use_rewiring). The region is memfd-backed either
+// way, so COW snapshot views do not depend on the publish mechanism.
 
 #pragma once
 
@@ -85,7 +87,6 @@ class Storage {
   /// the live data (used after rebalances).
   void RebuildRoutes(size_t seg_begin, size_t seg_end);
 
-  bool rewiring_enabled() const { return region_->rewiring_enabled(); }
   uint64_t num_remaps() const { return region_->num_remaps(); }
   uint64_t num_fallback_copies() const {
     return region_->num_fallback_copies();
@@ -94,12 +95,11 @@ class Storage {
     return region_->num_remap_failures();
   }
 
-  /// True when publishes go through the copy path rather than zero-copy
-  /// remaps: anonymous fallback backend, use_rewiring=false, or a region
-  /// that degraded after a remap failure.
-  bool fallback_backend_active() const {
-    return force_copy_ || !region_->rewiring_enabled();
-  }
+  /// True when the region runs degraded: the anonymous fallback backend
+  /// (no memfd, so no COW snapshot views and no remaps), or a region
+  /// that degraded after a remap failure. Copy publishes chosen by
+  /// use_rewiring=false are the default, not a degradation.
+  bool fallback_backend_active() const { return !region_->rewiring_enabled(); }
   size_t page_bytes() const { return region_->page_bytes(); }
   size_t backing_page_bytes() const { return region_->backing_page_bytes(); }
 
@@ -148,7 +148,7 @@ class Storage {
   std::vector<uint32_t> card_;
   std::vector<Key> route_;
   std::vector<uint32_t> inserts_;
-  bool force_copy_ = false;
+  bool force_copy_ = false;  // !use_rewiring: SwapWindow always copies
 };
 
 }  // namespace cpma

@@ -194,7 +194,8 @@ class ShardedPMA : public OrderedMap {
     uint64_t optimistic_gate_reads = 0;
     uint64_t rebalance_retries = 0;
     uint64_t watchdog_trips = 0;
-    /// Count of shards currently publishing by copy (degraded backend).
+    /// Count of shards whose storage runs degraded (anonymous backend,
+    /// or a region degraded after a remap failure).
     uint64_t degraded_shards = 0;
     /// EBR counters summed over shards (global_epoch = max).
     EpochGCStats ebr;

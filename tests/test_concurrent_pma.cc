@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <mutex>
 #include <set>
@@ -417,6 +418,42 @@ TEST(ConcurrentPmaStats, RebalancesAndBatchesAreCounted) {
   pma.Flush();
   EXPECT_GT(pma.num_local_rebalances(), 0u);
   EXPECT_GT(pma.num_resizes(), 0u);
+}
+
+// Right-edge appends, the ycsb_e write path. A sync writer hands its op
+// to the rebalancer inside its gate's queue, so nearly every global
+// window is a merged spread; only an adaptive merged plan keeps the
+// appends from re-triggering ever more windows at the edge. One client
+// thread in sync mode makes the counts deterministic; only the append
+// phase is counted.
+uint64_t GlobalRebalancesForAppends(bool adaptive) {
+  ConcurrentConfig cfg;  // paper geometry: B = 128, 8 segments per gate
+  cfg.async_mode = AsyncMode::kSync;
+  cfg.rebalancer_workers = 2;
+  cfg.pma.adaptive = adaptive;
+  ConcurrentPMA pma(cfg);
+  for (Key k = 2; k <= 400000; k += 2) pma.Insert(k, k);
+  const uint64_t global0 = pma.num_global_rebalances();
+  const uint64_t local0 = pma.num_local_rebalances();
+  for (Key k = 400001; k <= 600000; ++k) pma.Insert(k, k);
+  pma.Flush();
+  EXPECT_EQ(pma.Size(), 400000u);
+  std::string err;
+  EXPECT_TRUE(pma.CheckInvariants(&err)) << err;
+  const uint64_t global = pma.num_global_rebalances() - global0;
+  std::printf("adaptive=%d appends: %llu global, %llu local rebalances\n",
+              adaptive ? 1 : 0, static_cast<unsigned long long>(global),
+              static_cast<unsigned long long>(pma.num_local_rebalances() -
+                                              local0));
+  return global;
+}
+
+TEST(ConcurrentPmaStats, AdaptiveMergedSpreadsHalveAppendWindows) {
+  const uint64_t adaptive = GlobalRebalancesForAppends(true);
+  const uint64_t even = GlobalRebalancesForAppends(false);
+  EXPECT_GT(even, 0u);
+  EXPECT_LE(2 * adaptive, even)
+      << "adaptive " << adaptive << " vs even " << even << " global windows";
 }
 
 }  // namespace

@@ -83,6 +83,7 @@ ConcurrentConfig StormConfig() {
   cfg.pma.segment_capacity = 16;  // tiny: force rebalances + resizes
   cfg.segments_per_gate = 4;
   cfg.rebalancer_workers = 2;
+  cfg.pma.use_rewiring = true;  // MidRemapPublication needs remap publishes
   return cfg;
 }
 

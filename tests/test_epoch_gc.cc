@@ -248,7 +248,12 @@ TEST(EpochGCCore, ParkedScanUnderResizeChurnDrainsAfterRelease) {
   release.store(true);
   scanner.join();
   pma.Flush();
-  pma.epoch_gc().Collect();
+  // One Collect() can race the background collector, which may have
+  // detached the backlog and still be freeing it (its stats land after
+  // the frees); two more full collector passes settle that.
+  EpochGC& gc = pma.epoch_gc();
+  gc.Collect();
+  gc.WaitForCollectorPasses(gc.CollectorPasses() + 2);
   const EpochGCStats after = pma.ebr_stats();
   EXPECT_EQ(after.pending_count, 0u) << "backlog must drain after release";
   EXPECT_EQ(after.freed_bytes, after.retired_bytes);

@@ -362,15 +362,21 @@ TEST_F(FaultInjectionTest, WatchdogStaysQuietOnHealthyRun) {
   EXPECT_EQ(pma.num_watchdog_trips(), 0u);
 }
 
-TEST_F(FaultInjectionTest, FallbackBackendReported) {
+TEST_F(FaultInjectionTest, CopyPublishIsNotDegraded) {
+  // use_rewiring=false publishes rebalances by copy over the memfd
+  // backend: the default, not a degradation (the anonymous backend and
+  // remap-failure degradation are what fallback_backend_active reports;
+  // see ChaosShardLocal in test_sharded.cc).
   ConcurrentConfig cfg = SmallConfig(ConcurrentConfig::AsyncMode::kSync);
   cfg.pma.use_rewiring = false;
   ConcurrentPMA pma(cfg);
-  EXPECT_TRUE(pma.fallback_backend_active());
+  EXPECT_FALSE(pma.fallback_backend_active());
   for (Key k = 0; k < 1000; ++k) pma.Insert(k, k);
   pma.Flush();
   EXPECT_EQ(pma.Size(), 1000u);
+  EXPECT_GT(pma.num_resizes(), 0u);
   EXPECT_EQ(pma.storage_num_remaps(), 0u);
+  EXPECT_FALSE(pma.fallback_backend_active());
 }
 
 }  // namespace

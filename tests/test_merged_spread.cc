@@ -1,7 +1,7 @@
 // Direct unit tests for the batch-merge spread machinery (paper §3.5):
-// CountMerged, PlanMergedSpread, MergedCopyToBuffer, MergedStreamInto
-// and CanonicalizeBatch — the code paths the rebalancer uses to fold
-// combining queues into window rebalances and resizes.
+// CountMerged, PlanMergedSpread (even and adaptive), MergedCopyToBuffer,
+// MergedStreamInto and CanonicalizeBatch — the code paths the rebalancer
+// uses to fold combining queues into window rebalances and resizes.
 
 #include <gtest/gtest.h>
 
@@ -197,6 +197,77 @@ TEST(MergedCopy, BatchConfinedToOneSegment) {
   for (size_t i = 0; i < got.size(); ++i, ++it) {
     EXPECT_EQ(got[i].key, it->first);
     EXPECT_EQ(got[i].value, it->second);
+  }
+}
+
+TEST(MergedCopy, AdaptivePlanFollowsInsertionPredictor) {
+  // Sync and one-by-one global windows are merged spreads: the appended
+  // ops arrive merged, and the plan must still steer the gaps to where
+  // the predictor says the next inserts go — the right edge here.
+  constexpr uint32_t B = 16;
+  constexpr size_t kSegs = 8;
+  Storage st(kSegs, B, true);
+  FillStorage(&st, {12, 12, 12, 12, 12, 12, 12, 15});  // keys 10..990
+  for (int i = 0; i < 40; ++i) st.bump_insert_count(kSegs - 1);
+  for (int i = 0; i < 5; ++i) st.bump_insert_count(2);
+  std::vector<BatchEntry> ops;
+  for (Key k = 1000; k < 1010; ++k) ops.push_back({k, k, false});  // appends
+  size_t ins = 0, del = 0;
+  const size_t total = CountMerged(st, 0, kSegs, ops, &ins, &del);
+  ASSERT_EQ(total, 99u + 10u);
+  ASSERT_LE(total, kSegs * (B - 1));
+
+  WindowPlan plan = PlanMergedSpread(st, 0, kSegs, total, /*adaptive=*/true);
+  size_t sum = 0;
+  for (size_t j = 0; j < kSegs; ++j) {
+    EXPECT_GE(plan.target_card[j], 1u) << "segment " << j;
+    EXPECT_LE(plan.target_card[j], B - 1) << "segment " << j;
+    if (j != kSegs - 1) {
+      EXPECT_LT(plan.target_card[kSegs - 1], plan.target_card[j])
+          << "the hottest segment must get the most gaps";
+    }
+    sum += plan.target_card[j];
+  }
+  EXPECT_EQ(sum, total);
+  EXPECT_LT(plan.target_card[2], plan.target_card[0]);  // warm < cold
+
+  MergedCopyToBuffer(&st, plan, ops);  // checks the plan total itself
+  FinishSpread(&st, plan);
+  auto got = Dump(st);
+  ASSERT_EQ(got.size(), total);
+  for (size_t i = 1; i < got.size(); ++i) ASSERT_LT(got[i - 1].key, got[i].key);
+  EXPECT_EQ(got.back().key, 1009u);
+  for (size_t s = 1; s < kSegs; ++s) {
+    EXPECT_EQ(st.route(s), st.segment(s)[0].key);
+  }
+}
+
+TEST(MergedCopy, AdaptivePlanStaysInsideTheBand) {
+  // Any predictor state and any merged total: targets sum to the total,
+  // keep >= 1 element per segment, and leave every segment a free slot
+  // whenever the window can afford one (m <= n*(B-1)).
+  Random rng(19);
+  for (int round = 0; round < 300; ++round) {
+    const uint32_t B = 8u << rng.NextBounded(3);
+    const size_t n = size_t{2} << rng.NextBounded(4);
+    Storage st(n, B, true);
+    std::vector<uint32_t> cards(n);
+    for (auto& c : cards) c = 1 + static_cast<uint32_t>(rng.NextBounded(B));
+    FillStorage(&st, cards);
+    for (size_t s = 0; s < n; ++s) {
+      const uint64_t bumps = rng.NextBounded(4) == 0 ? rng.NextBounded(500)
+                                                      : rng.NextBounded(3);
+      for (uint64_t i = 0; i < bumps; ++i) st.bump_insert_count(s);
+    }
+    const size_t m = n + rng.NextBounded(n * (B - 1) + 1);  // [n, n*B]
+    WindowPlan plan = PlanMergedSpread(st, 0, n, m, /*adaptive=*/true);
+    size_t sum = 0;
+    for (uint32_t c : plan.target_card) {
+      ASSERT_GE(c, 1u) << "round " << round;
+      ASSERT_LE(c, m <= n * (B - 1) ? B - 1 : B) << "round " << round;
+      sum += c;
+    }
+    ASSERT_EQ(sum, m) << "round " << round;
   }
 }
 

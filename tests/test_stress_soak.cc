@@ -290,6 +290,7 @@ TEST_P(ChaosSoak, FaultStormConvergesToExactState) {
   const SoakParam param = GetParam();
   ConcurrentConfig cfg = SoakConfig(param);
   cfg.watchdog_ms = 50;  // exercised by the rebalancer.stall arms
+  cfg.pma.use_rewiring = true;  // remap publishes reach the remap sites
   ConcurrentPMA pma(cfg);
 
   std::atomic<uint64_t> errors{0};
