@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -96,7 +97,14 @@ ConcurrentPMA::ConcurrentPMA(const ConcurrentConfig& config) : cfg_(config) {
                    env, static_cast<long long>(watchdog_ms_));
     }
   }
-  structure_.store(BuildInitialStructure(), std::memory_order_release);
+  size_t segs = std::max(cfg_.pma.initial_num_segments,
+                         2 * cfg_.segments_per_gate);
+  while (!IsPowerOfTwo(segs)) ++segs;
+  structure_.store(
+      BuildStructure(std::make_unique<Storage>(segs, cfg_.pma.segment_capacity,
+                                               cfg_.pma.use_rewiring))
+          .release(),
+      std::memory_order_release);
   rebalancer_ = std::make_unique<Rebalancer>(this, cfg_.rebalancer_workers);
   rebalancer_->Start();
   gc_.StartBackgroundCollector();
@@ -112,24 +120,93 @@ ConcurrentPMA::~ConcurrentPMA() {
   // gc_'s destructor frees snapshots retired by resizes.
 }
 
-Structure* ConcurrentPMA::BuildInitialStructure() {
+std::unique_ptr<Structure> ConcurrentPMA::BuildStructure(
+    std::unique_ptr<Storage> storage) const {
   const size_t spg = cfg_.segments_per_gate;
-  size_t segs = std::max(cfg_.pma.initial_num_segments, 2 * spg);
-  while (!IsPowerOfTwo(segs)) ++segs;
-  auto* snap = new Structure();
-  snap->version = 1;
+  const size_t num_gates = storage->num_segments() / spg;
+  auto snap = std::make_unique<Structure>();
   snap->segments_per_gate = spg;
-  snap->storage = std::make_unique<Storage>(segs, cfg_.pma.segment_capacity,
-                                            cfg_.pma.use_rewiring);
-  const size_t num_gates = segs / spg;
+  snap->storage = std::move(storage);
   for (size_t g = 0; g < num_gates; ++g) {
     snap->gates.emplace_back(static_cast<uint32_t>(g), g * spg,
                              (g + 1) * spg);
   }
-  snap->index =
-      std::make_unique<StaticIndex>(num_gates, cfg_.index_fanout);
-  RecomputeFences(snap, 0, num_gates);
+  snap->index = std::make_unique<StaticIndex>(num_gates, cfg_.index_fanout);
+  RecomputeFences(snap.get(), 0, num_gates);
   return snap;
+}
+
+void ConcurrentPMA::PublishStructure(Structure* old,
+                                     std::unique_ptr<Structure> fresh,
+                                     size_t count) {
+  fresh->version = old->version + 1;
+  count_.store(count, std::memory_order_relaxed);
+  structure_.store(fresh.release(), std::memory_order_release);
+  // Wake every client parked on the old gates; they observe the
+  // invalidation, refresh their epoch and restart on the new snapshot.
+  for (Gate& gate : old->gates) gate.InvalidateAndRelease();
+  // Byte-accounted retirement (§3.4): the snapshot's dominant footprint
+  // is its storage (live region + rebalance buffer), so a parked reader
+  // pinning a few multi-MB snapshots trips the bytes watermark long
+  // before the count watermark would notice.
+  const size_t bytes = sizeof(Structure) +
+                       2 * old->storage->capacity() * sizeof(Item) +
+                       old->num_gates() * sizeof(Gate);
+  gc_.Retire(old, bytes);
+}
+
+size_t ConcurrentPMA::SegmentsForCount(size_t count) const {
+  const size_t B = cfg_.pma.segment_capacity;
+  size_t segs = 2 * cfg_.segments_per_gate;
+  while (static_cast<double>(count) >
+         0.6 * static_cast<double>(segs) * static_cast<double>(B)) {
+    segs *= 2;
+  }
+  return segs;
+}
+
+Status ConcurrentPMA::LoadSorted(const Item* items, size_t n) {
+  Flush();  // ops still queued would otherwise land after the load
+  if (Size() != 0 || snapshots_open() != 0) {
+    return Status::InvalidArgument(
+        "LoadSorted: the map must be empty with no open snapshot");
+  }
+  std::unique_ptr<Structure> loaded;
+  Status st = BuildLoaded(items, n, &loaded);
+  if (st.ok()) PublishLoaded(std::move(loaded), n);
+  return st;
+}
+
+Status ConcurrentPMA::BuildLoaded(const Item* items, size_t n,
+                                  std::unique_ptr<Structure>* out) const {
+  for (size_t i = 0; i < n; ++i) {
+    if (items[i].key > kKeyMax || (i > 0 && items[i].key <= items[i - 1].key)) {
+      return Status::InvalidArgument(
+          "LoadSorted: keys must ascend strictly and stay <= kKeyMax");
+    }
+  }
+  Status st;
+  std::unique_ptr<Storage> storage =
+      Storage::TryCreate(SegmentsForCount(n), cfg_.pma.segment_capacity,
+                         cfg_.pma.use_rewiring, &st);
+  if (storage == nullptr) return st;
+  try {
+    SpreadSortedInto(items, n, storage.get());
+    *out = BuildStructure(std::move(storage));
+  } catch (const std::bad_alloc&) {
+    return Status::ResourceExhausted("LoadSorted: structure allocation failed");
+  }
+  return Status::OK();
+}
+
+void ConcurrentPMA::PublishLoaded(std::unique_ptr<Structure> loaded,
+                                  size_t n) {
+  // No client runs and the rebalancer is idle (flushed), so every
+  // acquisition is immediate; holding the gates makes the publish the
+  // same protocol as a resize.
+  Structure* old = structure_.load(std::memory_order_acquire);
+  for (Gate& gate : old->gates) gate.MasterAcquire();
+  PublishStructure(old, std::move(loaded), n);
 }
 
 size_t ConcurrentPMA::capacity() const {

@@ -101,10 +101,11 @@ struct Structure;
 /// caller must own the gates (or be single-threaded at construction).
 void RecomputeFences(Structure* snap, size_t gb, size_t ge);
 
-/// Everything that is replaced wholesale by a resize. Clients reach a
-/// Structure through an atomic pointer and keep it alive via their epoch.
+/// Everything that is replaced wholesale by a resize or a bulk load.
+/// Clients reach a Structure through an atomic pointer and keep it alive
+/// via their epoch.
 struct Structure {
-  uint64_t version = 0;
+  uint64_t version = 1;  // +1 per published replacement
   std::unique_ptr<Storage> storage;
   std::deque<Gate> gates;  // deque: Gate is immovable (mutex member)
   std::unique_ptr<StaticIndex> index;
@@ -137,6 +138,23 @@ class ConcurrentPMA : public OrderedMap {
   /// producer slot's flush lock across the call). Ops are dispatched in
   /// array order; `ops[i].seq` is overwritten.
   void UpdateBatch(GateOp* ops, size_t n);
+
+  /// Bulk load: build the whole array from `n` items with strictly
+  /// ascending keys (all <= kKeyMax) in one pass — storage sized by the
+  /// resize capacity policy (SegmentsForCount), an even spread, then
+  /// gates, index and fences by the same builder as the initial
+  /// structure and resizes — and publish it like a resize. No rebalance
+  /// runs. The map must be empty with no open snapshot, and no other
+  /// client may use it during the call (pending async ops are flushed
+  /// first). InvalidArgument for a non-empty map, an open snapshot or
+  /// an unordered run; ResourceExhausted when the storage cannot be
+  /// allocated. On any error the map is left unchanged (empty, usable).
+  Status LoadSorted(const Item* items, size_t n);
+
+  /// The capacity policy shared by resizes and LoadSorted: the smallest
+  /// power-of-two segment count (>= 2 gates) that holds `count`
+  /// elements at density <= 0.6.
+  size_t SegmentsForCount(size_t count) const;
 
   /// Pull-based ordered read cursor: the segment loop of Scan()
   /// exposed as an explicit cursor, so a consumer can merge several
@@ -321,6 +339,7 @@ class ConcurrentPMA : public OrderedMap {
  private:
   friend class Rebalancer;
   friend class PMASnapshot;
+  friend class ShardedPMA;  // all-or-nothing fleet loads: BuildLoaded first
 
   /// Rebalancer -> client surface: record the sticky error and invoke
   /// the callback (master thread).
@@ -410,7 +429,27 @@ class ConcurrentPMA : public OrderedMap {
   /// Fire-and-forget shrink check after deletions.
   void MaybeRequestShrink(Structure* snap);
 
-  Structure* BuildInitialStructure();
+  /// The one structure builder (initial structure, resizes, loads):
+  /// gates of segments_per_gate segments over `storage`, the static
+  /// index, and fences from the storage's contents. Throws
+  /// std::bad_alloc; callers with a degradation path catch it.
+  std::unique_ptr<Structure> BuildStructure(
+      std::unique_ptr<Storage> storage) const;
+
+  /// Replace `old` by `fresh` holding `count` elements, like a resize:
+  /// publish the new structure, invalidate and release every old gate
+  /// (the caller holds them all, master-owned), retire `old` through
+  /// the epoch GC.
+  void PublishStructure(Structure* old, std::unique_ptr<Structure> fresh,
+                        size_t count);
+
+  /// LoadSorted's two phases, split so a sharded fleet can build every
+  /// shard before publishing any: BuildLoaded checks the run and builds
+  /// the structure (fallible, touches nothing shared); PublishLoaded
+  /// acquires the current gates and publishes it (cannot fail).
+  Status BuildLoaded(const Item* items, size_t n,
+                     std::unique_ptr<Structure>* out) const;
+  void PublishLoaded(std::unique_ptr<Structure> loaded, size_t n);
 
   ConcurrentConfig cfg_;
   // Effective retry budget (cfg_ value or CPMA_OPTIMISTIC_RETRIES).

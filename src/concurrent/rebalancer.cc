@@ -509,32 +509,17 @@ bool Rebalancer::ExecuteResize(Structure* snap, std::deque<GateOp> extra) {
   // replacement exists in full do we publish — a failure at any point
   // leaves the old snapshot untouched and falls to the requeue path.
   Progress("resize:alloc");
-  const size_t new_segs = SegmentsForCount(total);
+  const size_t new_segs = pma_->SegmentsForCount(total);
   Status status;
   std::unique_ptr<Storage> fresh =
       AllocStorageWithRetry(new_segs, total, &status);
-  Structure* ns = nullptr;
+  std::unique_ptr<Structure> ns;
   if (fresh != nullptr) {
     Progress("resize:merge");
-    const size_t got_segs = fresh->num_segments();
     try {
       MergedStreamInto(*st, batch, total, fresh.get());
-      ns = new Structure();
-      ns->version = snap->version + 1;
-      ns->segments_per_gate = snap->segments_per_gate;
-      ns->storage = std::move(fresh);
-      const size_t num_gates = got_segs / snap->segments_per_gate;
-      for (size_t g = 0; g < num_gates; ++g) {
-        ns->gates.emplace_back(static_cast<uint32_t>(g),
-                               g * snap->segments_per_gate,
-                               (g + 1) * snap->segments_per_gate);
-      }
-      ns->index =
-          std::make_unique<StaticIndex>(num_gates, pma_->cfg_.index_fanout);
-      RecomputeFences(ns, 0, num_gates);
+      ns = pma_->BuildStructure(std::move(fresh));
     } catch (const std::bad_alloc&) {
-      delete ns;
-      ns = nullptr;
       status = Status::ResourceExhausted(
           "resize: snapshot metadata allocation failed");
     }
@@ -548,23 +533,8 @@ bool Rebalancer::ExecuteResize(Structure* snap, std::deque<GateOp> extra) {
   consecutive_resize_failures_ = 0;
 
   Progress("resize:publish");
-  pma_->count_.store(total, std::memory_order_relaxed);
-  pma_->structure_.store(ns, std::memory_order_release);
+  pma_->PublishStructure(snap, std::move(ns), total);
   pma_->stat_resizes_.fetch_add(1, std::memory_order_relaxed);
-
-  // Wake every client parked on the old gates; they observe the
-  // invalidation, refresh their epoch and restart on the new snapshot.
-  for (size_t g = 0; g < snap->num_gates(); ++g) {
-    snap->gates[g].InvalidateAndRelease();
-  }
-  // Byte-accounted retirement (§3.4): the snapshot's dominant footprint
-  // is its storage (live region + rebalance buffer), so a parked reader
-  // pinning a few multi-MB snapshots trips the bytes watermark long
-  // before the count watermark would notice.
-  const size_t snap_bytes = sizeof(Structure) +
-                            2 * snap->storage->capacity() * sizeof(Item) +
-                            snap->num_gates() * sizeof(Gate);
-  pma_->gc_.Retire(snap, snap_bytes);
   return true;
 }
 
@@ -671,16 +641,6 @@ void Rebalancer::RequeueAndReschedule(Structure* snap,
                "across %zu gate(s), retrying in %lld ms\n",
                consecutive_resize_failures_, requeued, affected_gates,
                static_cast<long long>(backoff_ms));
-}
-
-size_t Rebalancer::SegmentsForCount(size_t count) const {
-  const size_t B = pma_->cfg_.pma.segment_capacity;
-  size_t segs = 2 * pma_->cfg_.segments_per_gate;
-  while (static_cast<double>(count) >
-         0.6 * static_cast<double>(segs) * static_cast<double>(B)) {
-    segs *= 2;
-  }
-  return segs;
 }
 
 }  // namespace cpma

@@ -174,10 +174,6 @@ class Rebalancer {
   // path that could violate the "fences never move over a non-empty
   // queue" ordering invariant. It was never called.)
 
-  /// Smallest valid segment count for `count` elements (power of two,
-  /// >= 2 gates, density <= 0.6).
-  size_t SegmentsForCount(size_t count) const;
-
   ConcurrentPMA* pma_;
   ThreadPool workers_;
 

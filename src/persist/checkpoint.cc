@@ -499,6 +499,7 @@ Status ReadChunk(const std::string& dir, const ChunkMeta& meta, size_t index,
   if (GetU32(data.data() + sizeof(kMagic) + 4) != index) {
     return VerifyFail("chunk shard index mismatch: " + path);
   }
+  const size_t first = items->size();
   size_t pos = header;
   while (pos < data.size()) {
     if (data.size() - pos < 8) {
@@ -518,7 +519,51 @@ Status ReadChunk(const std::string& dir, const ChunkMeta& meta, size_t index,
     items->resize(base + n);
     std::memcpy(items->data() + base, data.data() + pos, len);
     pos += len;
+    // The payload is outside input even with every CRC intact: a
+    // chunk's keys must ascend strictly. Checked per record, while the
+    // record is still in cache.
+    const Item* it = items->data();
+    bool ascending = true;
+    for (size_t i = std::max(base, first + 1); i < base + n; ++i) {
+      ascending &= it[i].key > it[i - 1].key;
+    }
+    if (!ascending) {
+      return VerifyFail("chunk keys not strictly ascending: " + path);
+    }
   }
+  // Ascending keys leave only the last one able to exceed the domain.
+  if (items->size() > first && items->back().key > kKeyMax) {
+    return VerifyFail("chunk holds a key outside the domain: " + path);
+  }
+  return Status::OK();
+}
+
+/// Read -> validate -> load: the verified items, ordered into one
+/// strictly ascending run, bulk-loaded into the empty target. The
+/// chunks of a hash-sharded checkpoint interleave and are sorted first;
+/// no key may appear in two chunks.
+template <typename Map>
+Status RestoreInto(const std::string& dir, Map* map, CheckpointInfo* info) {
+  std::vector<Item> items;
+  CheckpointInfo local;
+  Status st = ReadCheckpointItems(dir, &items, &local);
+  if (!st.ok()) return st;
+  const auto not_ascending = [](const Item& a, const Item& b) {
+    return a.key >= b.key;
+  };
+  if (std::adjacent_find(items.begin(), items.end(), not_ascending) !=
+      items.end()) {
+    std::sort(items.begin(), items.end(),
+              [](const Item& a, const Item& b) { return a.key < b.key; });
+    if (std::adjacent_find(items.begin(), items.end(), not_ascending) !=
+        items.end()) {
+      return VerifyFail("a key appears in two chunks: " + local.path);
+    }
+  }
+  st = map->LoadSorted(items.data(), items.size());
+  if (!st.ok()) return st;
+  Counters().restores.fetch_add(1, std::memory_order_relaxed);
+  if (info != nullptr) *info = local;
   return Status::OK();
 }
 
@@ -608,51 +653,11 @@ Status ReadCheckpointItems(const std::string& dir, std::vector<Item>* items,
 
 Status Restore(const std::string& dir, ConcurrentPMA* pma,
                CheckpointInfo* info) {
-  if (pma->Size() != 0) {
-    return Status::InvalidArgument("Restore target must be empty");
-  }
-  std::vector<Item> items;
-  CheckpointInfo local;
-  Status st = ReadCheckpointItems(dir, &items, &local);
-  if (!st.ok()) return st;
-  // Batched re-insertion: one enqueue-stamp reservation per block.
-  constexpr size_t kBlock = 8192;
-  std::vector<GateOp> ops;
-  for (size_t base = 0; base < items.size(); base += kBlock) {
-    const size_t n = std::min(kBlock, items.size() - base);
-    ops.clear();
-    ops.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      GateOp op;
-      op.type = GateOp::Type::kInsert;
-      op.key = items[base + i].key;
-      op.value = items[base + i].value;
-      ops.push_back(op);
-    }
-    pma->UpdateBatch(ops.data(), ops.size());
-  }
-  pma->Flush();
-  Counters().restores.fetch_add(1, std::memory_order_relaxed);
-  if (info != nullptr) *info = local;
-  return Status::OK();
+  return RestoreInto(dir, pma, info);
 }
 
 Status Restore(const std::string& dir, ShardedPMA* pma, CheckpointInfo* info) {
-  if (pma->Size() != 0) {
-    return Status::InvalidArgument("Restore target must be empty");
-  }
-  std::vector<Item> items;
-  CheckpointInfo local;
-  Status st = ReadCheckpointItems(dir, &items, &local);
-  if (!st.ok()) return st;
-  // Inserts re-route through the live router (and its coalescing front
-  // door), so the restored fleet's shard count/partitioning may differ
-  // from the writer's.
-  for (const Item& it : items) pma->Insert(it.key, it.value);
-  pma->Flush();
-  Counters().restores.fetch_add(1, std::memory_order_relaxed);
-  if (info != nullptr) *info = local;
-  return Status::OK();
+  return RestoreInto(dir, pma, info);
 }
 
 }  // namespace persist

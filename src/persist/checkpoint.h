@@ -27,8 +27,9 @@
 // failpoints inject one at each step) leaves either the previous
 // CURRENT checkpoint fully loadable or no checkpoint at all — a torn
 // checkpoint is never reachable from CURRENT, and Restore() verifies
-// every manifest and chunk checksum before touching the target, so a
-// tampered or truncated checkpoint is always detected and refused.
+// every manifest and chunk checksum — and the order of the keys —
+// before touching the target, so a tampered, truncated or hostile
+// checkpoint is always detected and refused.
 //
 // app_stamp is an application progress marker stored verbatim (the
 // crash harness uses it as its replay oracle: "ops [0, app_stamp) are
@@ -96,16 +97,24 @@ Status LatestCheckpoint(const std::string& dir, CheckpointInfo* info);
 /// Read and checksum-verify every item of the CURRENT checkpoint.
 /// Items arrive in chunk order (globally sorted for single-PMA and
 /// range-sharded checkpoints). Any mismatch — manifest CRC, chunk size,
-/// whole-file CRC, record CRC, truncation — refuses the checkpoint with
+/// whole-file CRC, record CRC, truncation, a chunk whose keys do not
+/// ascend strictly or exceed kKeyMax — refuses the checkpoint with
 /// Internal (naming the failing artifact) and bumps
 /// restore_verify_failures.
 Status ReadCheckpointItems(const std::string& dir, std::vector<Item>* items,
                            CheckpointInfo* info = nullptr);
 
-/// Rebuild `pma` (must be empty) from the CURRENT checkpoint: verified
-/// read, batched re-insertion, Flush. The sharded variant re-routes
-/// through the live router, so the restored fleet may have a different
-/// shard count than the writer's.
+/// Rebuild `pma` from the CURRENT checkpoint: read and verify as
+/// ReadCheckpointItems, order the items into one strictly ascending run
+/// (sorting only when the chunks interleave, as a hash-sharded
+/// checkpoint's do; a key in two chunks is refused like a CRC
+/// mismatch), then bulk-load it with LoadSorted — one sized pass, no
+/// re-insertion. The target must be empty with no open snapshot
+/// (InvalidArgument otherwise), and no other client may use it during
+/// the call. A failed allocation returns ResourceExhausted; on any
+/// error the target is left empty and usable. The sharded variant
+/// routes the run through the live router, so the restored fleet may
+/// have a different shard count or partitioning than the writer's.
 Status Restore(const std::string& dir, ConcurrentPMA* pma,
                CheckpointInfo* info = nullptr);
 Status Restore(const std::string& dir, ShardedPMA* pma,

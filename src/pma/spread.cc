@@ -258,30 +258,53 @@ void MergedCopyToBuffer(Storage* st, const WindowPlan& plan,
   hotpath::StreamCopyFlush(stream);  // drain before FinishSpread publishes
 }
 
-void MergedStreamInto(const Storage& old_st,
-                      const std::vector<BatchEntry>& ops, size_t merged_total,
-                      Storage* fresh) {
+namespace {
+
+/// Fill an empty fresh storage with `total` elements under the even
+/// target plan: `emit` streams them, in key order, into the writer; the
+/// cardinalities and routes are installed afterwards.
+template <typename EmitAll>
+void EvenStreamInto(Storage* fresh, size_t total, EmitAll&& emit) {
   const size_t n = fresh->num_segments();
   const std::vector<uint32_t> target =
-      PlanTargets(*fresh, 0, n, merged_total, /*adaptive=*/false);
+      PlanTargets(*fresh, 0, n, total, /*adaptive=*/false);
   const bool stream = hotpath::StreamCopyPreferred(
       n * fresh->segment_capacity() * sizeof(Item));
   hotpath::SegmentedRunWriter writer(fresh->segment(0),
                                      fresh->segment_capacity(), target.data(),
                                      n, stream);
-  size_t op_idx = 0;
-  for (size_t s = 0; s < old_st.num_segments(); ++s) {
-    hotpath::MergeRunWithOps(old_st.segment(s), old_st.card(s), ops.data(),
-                             ops.size(), &op_idx, &writer);
-  }
-  hotpath::EmitRemainingOps(ops.data(), ops.size(), &op_idx, &writer);
-  CPMA_CHECK_MSG(writer.written() == merged_total,
-                 "resize merge does not match expected total");
+  emit(&writer);
+  CPMA_CHECK_MSG(writer.written() == total,
+                 "stream into fresh storage does not match its plan");
   // Drain before the caller's release-store publishes the new snapshot
   // (a release store does not order non-temporal stores).
   hotpath::StreamCopyFlush(stream);
   for (size_t s = 0; s < n; ++s) fresh->set_card(s, target[s]);
   fresh->RebuildRoutes(0, n);
+}
+
+}  // namespace
+
+void MergedStreamInto(const Storage& old_st,
+                      const std::vector<BatchEntry>& ops, size_t merged_total,
+                      Storage* fresh) {
+  EvenStreamInto(fresh, merged_total,
+                 [&](hotpath::SegmentedRunWriter* writer) {
+                   size_t op_idx = 0;
+                   for (size_t s = 0; s < old_st.num_segments(); ++s) {
+                     hotpath::MergeRunWithOps(old_st.segment(s),
+                                              old_st.card(s), ops.data(),
+                                              ops.size(), &op_idx, writer);
+                   }
+                   hotpath::EmitRemainingOps(ops.data(), ops.size(), &op_idx,
+                                             writer);
+                 });
+}
+
+void SpreadSortedInto(const Item* items, size_t n, Storage* fresh) {
+  EvenStreamInto(fresh, n, [&](hotpath::SegmentedRunWriter* writer) {
+    writer->Emit(items, n);
+  });
 }
 
 void FinishSpread(Storage* st, const WindowPlan& plan, bool swap) {

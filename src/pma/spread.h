@@ -5,7 +5,8 @@
 //   1. One target planner decides how many elements every segment of
 //      the window receives (traditional: even split; adaptive: gaps
 //      follow the insertion predictor, paper §2 "Adaptive rebalancing").
-//      Plain spreads, merged spreads and resizes all use it.
+//      Plain spreads, merged spreads, resizes and bulk loads all use
+//      it.
 //   2. CopyPartitionToBuffer streams the window's live elements, in
 //      order, into the *buffer* pages of an output sub-range. Input is
 //      only read, output goes to the buffer, so any number of partitions
@@ -89,5 +90,10 @@ void MergedCopyToBuffer(Storage* st, const WindowPlan& plan,
 void MergedStreamInto(const Storage& old_st,
                       const std::vector<BatchEntry>& ops, size_t merged_total,
                       Storage* fresh);
+
+/// Bulk-load path: spread `n` items with strictly ascending keys into an
+/// empty fresh storage (even targets, run copies), installing its
+/// cardinalities and routes. `n` must fit the storage.
+void SpreadSortedInto(const Item* items, size_t n, Storage* fresh);
 
 }  // namespace cpma

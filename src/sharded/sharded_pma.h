@@ -164,6 +164,16 @@ class ShardedPMA : public OrderedMap {
 
   std::string Name() const override;
 
+  /// Bulk load (ConcurrentPMA::LoadSorted per shard): route `n` items
+  /// with strictly ascending keys to their shards with ShardOf — a
+  /// range fleet takes contiguous slices, a hash fleet buckets them —
+  /// and build every shard in one sized pass, the shards in parallel
+  /// (up to one thread per CPU). All or nothing: every shard is built
+  /// before any is published, so on an error the fleet is left empty
+  /// and usable. Same preconditions and Status results as
+  /// ConcurrentPMA::LoadSorted, for the whole fleet.
+  Status LoadSorted(const Item* items, size_t n);
+
   /// The router, exposed for tests and for workload generators that
   /// want shard-local key streams.
   size_t ShardOf(Key key) const;
