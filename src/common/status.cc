@@ -13,7 +13,7 @@ namespace cpma {
 namespace {
 
 // One errno-carrying Status for every wrapper below; `op` names the
-// syscall so persist-layer errors read "pwrite failed: ..." verbatim.
+// syscall so persist-layer errors read "write failed: ..." verbatim.
 Status ErrnoStatus(const char* op, int err) {
   return Status::Internal(std::string(op) + " failed: errno " +
                           std::to_string(err) + " (" + std::strerror(err) +
@@ -32,22 +32,6 @@ Status WriteFully(int fd, const void* buf, size_t n) {
     }
     if (w == 0) return Status::Internal("write returned 0");
     p += w;
-    n -= static_cast<size_t>(w);
-  }
-  return Status::OK();
-}
-
-Status PwriteFully(int fd, const void* buf, size_t n, uint64_t off) {
-  const char* p = static_cast<const char*>(buf);
-  while (n > 0) {
-    const ssize_t w = ::pwrite(fd, p, n, static_cast<off_t>(off));
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoStatus("pwrite", errno);
-    }
-    if (w == 0) return Status::Internal("pwrite returned 0");
-    p += w;
-    off += static_cast<uint64_t>(w);
     n -= static_cast<size_t>(w);
   }
   return Status::OK();

@@ -82,9 +82,6 @@ class Status {
 /// Write all `n` bytes of `buf` to `fd`, retrying short writes and EINTR.
 Status WriteFully(int fd, const void* buf, size_t n);
 
-/// pwrite variant: write all `n` bytes at absolute offset `off`.
-Status PwriteFully(int fd, const void* buf, size_t n, uint64_t off);
-
 /// Read exactly `n` bytes into `buf`, retrying short reads and EINTR.
 /// EOF before `n` bytes is an error (kInternal, "short read") — callers
 /// reading framed formats want truncation to be loud.

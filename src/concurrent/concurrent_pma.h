@@ -304,17 +304,16 @@ class ConcurrentPMA : public OrderedMap {
   /// Capture a frozen, consistent point-in-time view without stopping
   /// the world. The snapshot forms a consistent cut: per gate, its
   /// capture point is the first post-snapshot mutation of that gate
-  /// (which preserves the chunk's pre-image first — COW through the
-  /// rewiring layer when page alignment permits, a heap copy
-  /// otherwise), or the moment the snapshot reads it, whichever comes
-  /// first. Window rebalances preserve every window gate while all of
-  /// them are held, so fence moves land atomically on one side of the
-  /// cut and sequential gate iteration always yields an ordered,
-  /// retry-free scan. Reads on the snapshot (Scan/SumAll/Find) never
-  /// block writers; writers pay two relaxed loads per gate op while a
+  /// (which first preserves the chunk's pre-image as one heap copy), or
+  /// the moment the snapshot reads it, whichever comes first. Window
+  /// rebalances preserve every window gate while all of them are held,
+  /// so fence moves land atomically on one side of the cut and
+  /// sequential gate iteration always yields an ordered, retry-free
+  /// scan. Reads on the snapshot (Scan/SumAll/Find) never block
+  /// writers; writers pay two relaxed loads per gate op while a
   /// snapshot is open (one when none was ever taken) plus a one-time
   /// per-gate preservation. Destroy the snapshot to release the pinned
-  /// structure and COW pages (retired through the epoch GC's
+  /// structure and the pre-images (retired through the epoch GC's
   /// byte-accounted limbo).
   std::unique_ptr<PMASnapshot> Snapshot() const;
 
@@ -326,8 +325,9 @@ class ConcurrentPMA : public OrderedMap {
     return stat_snapshots_taken_.load(std::memory_order_relaxed);
   }
 
-  /// Bytes of superseded file pages kept alive only because an open
-  /// snapshot view pins them (the COW memory overhead of snapshots).
+  /// Heap bytes of the gate pre-images held by this PMA's open
+  /// snapshots (the sum of PMASnapshot::retained_bytes(), taken under
+  /// the snapshot registry lock): the memory overhead of snapshots.
   uint64_t cow_pages_retained_bytes() const;
 
   /// Structural validation: fences contiguous and sorted, chunk contents

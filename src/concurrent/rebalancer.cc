@@ -203,7 +203,7 @@ void Rebalancer::MasterLoop() {
     const int64_t now = NowMillis();
     int64_t next_due = INT64_MAX;
     for (auto it = deferred_.begin(); it != deferred_.end();) {
-      if (ignore_due_times_ || it->due_ms <= now) {
+      if (it->due_ms <= now || (ignore_due_times_ && !it->retry)) {
         ready_.push_back(*it);
         it = deferred_.erase(it);
       } else {
@@ -616,22 +616,20 @@ void Rebalancer::RequeueAndReschedule(Structure* snap,
   Progress("resize:requeue");
   ReleaseGates(snap, 0, num_gates);
 
-  // One deferred retry batch per gate holding requeued ops. Drain()'s
-  // ignore_due_times_ promotes these immediately, so a Flush() blocked
-  // on the requeued ops converges as soon as allocation recovers.
+  // One deferred retry batch per gate holding requeued ops. They keep
+  // their backoff even while Drain() runs (MasterLoop), so a Flush()
+  // blocked on the requeued ops retries at the backoff pace instead of
+  // once per ladder pass, and returns within one step after allocation
+  // recovers.
   if (requeued > 0) {
     const int64_t due = NowMillis() + backoff_ms;
     {
       std::lock_guard<std::mutex> lk(m_);
       for (size_t g = 0; g < num_gates; ++g) {
         if (per_gate[g].empty()) continue;
-        Request r{Request::Type::kBatch, snap->version,
-                  static_cast<uint32_t>(g), 0, due};
-        if (ignore_due_times_) {
-          ready_.push_back(r);
-        } else {
-          deferred_.push_back(r);
-        }
+        deferred_.push_back(Request{Request::Type::kBatch, snap->version,
+                                    static_cast<uint32_t>(g), 0, due,
+                                    /*retry=*/true});
       }
     }
     cv_.notify_all();

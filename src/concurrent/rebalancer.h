@@ -77,8 +77,9 @@ class Rebalancer {
   /// the shrink threshold; master re-validates before resizing.
   void RequestShrink(uint64_t version);
 
-  /// Process everything immediately (deferred batches included) and wait
-  /// until idle. Used by Flush().
+  /// Process everything immediately (deferred batches included, except
+  /// resize-failure retries, which keep their backoff) and wait until
+  /// idle. Used by Flush().
   void Drain();
 
   bool Idle();
@@ -91,6 +92,7 @@ class Rebalancer {
     uint32_t gate_id;
     size_t trigger_seg;
     int64_t due_ms;
+    bool retry = false;  // resize-failure retry: due_ms holds under Drain()
   };
 
   void MasterLoop();

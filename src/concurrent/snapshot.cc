@@ -1,7 +1,6 @@
 #include "concurrent/snapshot.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/hotpath/search.h"
 #include "common/hotpath/tagged.h"
@@ -29,11 +28,6 @@ std::unique_ptr<PMASnapshot> ConcurrentPMA::Snapshot() const {
   for (size_t g = 0; g < s->num_gates_; ++g) {
     s->entries_[g].store(nullptr, std::memory_order_relaxed);
   }
-  // View creation can fail (anonymous fallback backend, mmap denial,
-  // injected fault): the snapshot then runs in all-heap-copy mode —
-  // every preservation copies the whole chunk. Degraded, not broken.
-  Status view_status;
-  s->view_ = snap->storage->CreateSnapshotView(&view_status);
   {
     // The stamp bump is the snapshot's linearization point: a mutator
     // that loaded the old stamp (and so skipped preservation) ordered
@@ -49,9 +43,10 @@ std::unique_ptr<PMASnapshot> ConcurrentPMA::Snapshot() const {
 }
 
 uint64_t ConcurrentPMA::cow_pages_retained_bytes() const {
-  EpochGuard guard(gc_);
-  return structure_.load(std::memory_order_acquire)
-      ->storage->cow_retained_page_bytes();
+  std::lock_guard<std::mutex> lk(snaps_mu_);
+  uint64_t bytes = 0;
+  for (const PMASnapshot* s : open_snaps_) bytes += s->retained_bytes();
+  return bytes;
 }
 
 void ConcurrentPMA::PreserveGateSlow(Structure* snap, Gate* gate) const {
@@ -73,32 +68,7 @@ void ConcurrentPMA::PreserveGateSlow(Structure* snap, Gate* gate) const {
     e->high_fence = gate->high_fence();
     e->cards.resize(se - sb);
     for (size_t i = 0; i < se - sb; ++i) e->cards[i] = st->card(sb + i);
-    // Try the zero-copy freeze first. kStale (the region was re-backed
-    // by a rewire since the view was captured) and kUnavailable (alloc
-    // or mmap failure mid-freeze) both degrade to one heap copy of the
-    // chunk; pages already frozen stay valid for other entries.
-    bool frozen = false;
-    if (s->view_ != nullptr) {
-      frozen = st->CowPreserveItems(*s->view_, sb * B, se * B) ==
-               RewiredRegion::CowResult::kFrozen;
-    }
-    if (frozen) {
-      e->from_view = true;
-      const size_t ps = st->page_bytes();
-      const size_t chunk_end = chunk_off + chunk_len;
-      // Partial-page edges are never frozen (they may share pages with
-      // neighbouring chunks another gate owns): copy them under this
-      // gate's hold. head = [chunk_off, first page boundary), tail =
-      // [last page boundary, chunk_end); for a sub-page chunk the head
-      // swallows everything and the tail is empty.
-      const size_t head_end =
-          std::min((chunk_off + ps - 1) / ps * ps, chunk_end);
-      const size_t tail_beg = std::max(chunk_end / ps * ps, head_end);
-      e->head.assign(base + chunk_off, base + head_end);
-      e->tail.assign(base + tail_beg, base + chunk_end);
-    } else {
-      e->full.assign(base + chunk_off, base + chunk_off + chunk_len);
-    }
+    e->full.assign(base + chunk_off, base + chunk_off + chunk_len);
     s->retained_bytes_.fetch_add(e->bytes(), std::memory_order_relaxed);
     slot.store(e, std::memory_order_release);
   }
@@ -117,9 +87,6 @@ PMASnapshot::~PMASnapshot() {
     auto& v = pma_->open_snaps_;
     v.erase(std::find(v.begin(), v.end(), this));
   }
-  // Close the view while the epoch pin still holds the region alive;
-  // superseded pages it pinned are hole-punched and recycled here.
-  view_.reset();
   // The heap entries go through the byte-accounted limbo lists like any
   // other retired structure — a parked reader pinning a large snapshot
   // trips the bytes watermark, not the count one.
@@ -138,41 +105,6 @@ PMASnapshot::~PMASnapshot() {
   pma_->gc_.Exit(slot_);
   pma_->gc_.UnregisterThread(slot_);
   pma_->snapshots_open_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void PMASnapshot::MaterializeFromEntry(const GateSnap& e, size_t g,
-                                       std::vector<char>* scratch,
-                                       std::vector<uint32_t>* cards,
-                                       Key* low, Key* high) const {
-  const Gate& gate = snap_->gates[g];
-  const Storage& st = *snap_->storage;
-  const size_t B = st.segment_capacity();
-  const size_t chunk_off = gate.seg_begin() * B * sizeof(Item);
-  const size_t chunk_len =
-      (gate.seg_end() - gate.seg_begin()) * B * sizeof(Item);
-  scratch->resize(chunk_len);
-  if (e.from_view) {
-    // Frozen interior straight from the COW view; edge fragments from
-    // the heap. Only the interior bytes are read from the view — the
-    // edge pages are shared with the live region and still mutate.
-    const size_t mid = chunk_len - e.head.size() - e.tail.size();
-    std::memcpy(scratch->data() + e.head.size(),
-                view_->data() + chunk_off + e.head.size(), mid);
-    // Page-aligned gates have empty fragments; vector::data() may be
-    // null then, which memcpy's nonnull contract forbids even for n=0.
-    if (!e.head.empty()) {
-      std::memcpy(scratch->data(), e.head.data(), e.head.size());
-    }
-    if (!e.tail.empty()) {
-      std::memcpy(scratch->data() + chunk_len - e.tail.size(), e.tail.data(),
-                  e.tail.size());
-    }
-  } else {
-    std::memcpy(scratch->data(), e.full.data(), chunk_len);
-  }
-  *cards = e.cards;
-  *low = e.low_fence;
-  *high = e.high_fence;
 }
 
 void PMASnapshot::MaterializeGate(size_t g, std::vector<char>* scratch,
@@ -226,7 +158,10 @@ void PMASnapshot::MaterializeGate(size_t g, std::vector<char>* scratch,
     e = entries_[g].load(std::memory_order_acquire);
     if (e == nullptr) return;
   }
-  MaterializeFromEntry(*e, g, scratch, cards, low, high);
+  *scratch = e->full;
+  *cards = e->cards;
+  *low = e->low_fence;
+  *high = e->high_fence;
 }
 
 uint64_t PMASnapshot::SumAll() const {

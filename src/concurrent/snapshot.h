@@ -2,10 +2,9 @@
 // ConcurrentPMA (ISSUE 9), captured without stopping the world.
 //
 // Capture is O(1) in the data size: Snapshot() pins the current
-// Structure in a dedicated epoch slot, opens a zero-copy COW view of
-// the storage region (rewiring/rewiring.h) and registers itself with
-// the PMA. No chunk is copied up front. The snapshot's image of each
-// gate is fixed lazily, at that gate's *capture point* — the first
+// Structure in a dedicated epoch slot and registers itself with the
+// PMA. No chunk is copied up front. The snapshot's image of each gate is
+// fixed lazily, at that gate's *capture point* — the first
 // post-snapshot mutation of the gate (which preserves the pre-image
 // first, see ConcurrentPMA::PreserveGateForSnapshots) or the snapshot's
 // own first read of it, whichever comes first. A mutator that raced
@@ -17,13 +16,9 @@
 // ordered scan with zero retries — there is structurally no restart
 // path in the reader below.
 //
-// Per-gate image (GateSnap): fence keys and cardinalities are small
-// and always heap-copied under the preserving hold. The chunk
-// items either live in the COW view (interior pages frozen through
-// CowPreserveRange; the partial-page edge bytes, which may share pages
-// with neighbouring chunks, are heap-copied fragments) or — when the
-// view is unavailable, stale, or the freeze failed — as one full heap
-// copy of the chunk. Readers materialize a gate from its entry when
+// Per-gate image (GateSnap): the fence keys, the cardinalities and one
+// heap copy of the whole chunk, taken under the preserving hold on every
+// storage backend. Readers materialize a gate from its entry when
 // present; an absent entry means the gate is untouched since capture,
 // so a validated optimistic read of the live chunk (or the blocking
 // READ latch once the PMA's optimistic retry budget is spent) returns
@@ -32,10 +27,9 @@
 // that preserved + mutated + released entirely inside the read window
 // wins, and its entry is used instead.
 //
-// Destruction deregisters the snapshot, closes the view (superseded COW
-// pages are hole-punched and recycled once unpinned), retires the
-// GateSnap entries through the epoch GC's byte-accounted limbo lists,
-// and only then releases the epoch pin that kept the Structure alive.
+// Destruction deregisters the snapshot, retires the GateSnap entries
+// through the epoch GC's byte-accounted limbo lists, and only then
+// releases the epoch pin that kept the Structure alive.
 
 #pragma once
 
@@ -48,7 +42,6 @@
 #include "common/epoch_gc.h"
 #include "common/ordered_map.h"
 #include "pma/item.h"
-#include "rewiring/rewiring.h"
 
 namespace cpma {
 
@@ -63,18 +56,11 @@ struct GateSnap {
   Key low_fence = kKeyMin;
   Key high_fence = kKeySentinel;
   std::vector<uint32_t> cards;  // per segment of the chunk
-
-  // true: the chunk's page-aligned interior is frozen in the COW view;
-  // `head`/`tail` carry the partial-page edge bytes. false: `full` is
-  // the whole chunk.
-  bool from_view = false;
-  std::vector<char> head;
-  std::vector<char> tail;
-  std::vector<char> full;
+  std::vector<char> full;       // the whole chunk's bytes
 
   size_t bytes() const {
     return sizeof(GateSnap) + cards.capacity() * sizeof(uint32_t) +
-           head.capacity() + tail.capacity() + full.capacity();
+           full.capacity();
   }
 };
 
@@ -106,8 +92,9 @@ class PMASnapshot {
   /// Structure version the snapshot pinned (diagnostics).
   uint64_t structure_version() const { return struct_version_; }
 
-  /// Heap bytes of preserved GateSnap entries charged to this snapshot
-  /// (the COW page overhead is region-wide: cow_pages_retained_bytes()).
+  /// Heap bytes of the gate pre-images (GateSnap entries) this snapshot
+  /// holds; ConcurrentPMA::cow_pages_retained_bytes() sums it over the
+  /// PMA's open snapshots.
   size_t retained_bytes() const {
     return retained_bytes_.load(std::memory_order_relaxed);
   }
@@ -136,17 +123,12 @@ class PMASnapshot {
   void MaterializeGate(size_t g, std::vector<char>* scratch,
                        std::vector<uint32_t>* cards, Key* low,
                        Key* high) const;
-  void MaterializeFromEntry(const snapshot_internal::GateSnap& e, size_t g,
-                            std::vector<char>* scratch,
-                            std::vector<uint32_t>* cards, Key* low,
-                            Key* high) const;
 
   const ConcurrentPMA* pma_ = nullptr;
   Structure* snap_ = nullptr;  // epoch-pinned via slot_
   uint64_t stamp_ = 0;
   uint64_t struct_version_ = 0;
   EpochSlot* slot_ = nullptr;  // dedicated pin; never the thread-local slot
-  std::unique_ptr<RewiredRegion::SnapshotView> view_;  // may be null
   std::unique_ptr<std::atomic<snapshot_internal::GateSnap*>[]> entries_;
   size_t num_gates_ = 0;
   std::atomic<size_t> retained_bytes_{0};

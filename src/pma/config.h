@@ -52,8 +52,9 @@ struct PmaConfig {
   /// 10-17x the copy it replaces (64 MiB region, 2 reader threads:
   /// 12 us vs 1.1 us for a one-page window, 452 us vs 45 us for 64
   /// pages, 4.66 ms vs 0.31 ms for 512), plus a page fault per page on
-  /// the next touch. Either way the region stays memfd-backed, so COW
-  /// snapshot views work the same. Kept as the opt-in A/B arm.
+  /// the next touch. Either way the region stays memfd-backed, and
+  /// snapshots (heap pre-images) do not depend on the publish. Kept as
+  /// the opt-in A/B arm.
   bool use_rewiring = false;
 
   /// Initial number of segments (power of two, >= 2).

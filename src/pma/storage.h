@@ -18,7 +18,7 @@
 // copy by default, or — with use_rewiring, the opt-in A/B arm — a page
 // remap when alignment permits (see rewiring/rewiring.h and the measured
 // costs in PmaConfig::use_rewiring). The region is memfd-backed either
-// way, so COW snapshot views do not depend on the publish mechanism.
+// way; only the remap arm needs that.
 
 #pragma once
 
@@ -96,43 +96,15 @@ class Storage {
   }
 
   /// True when the region runs degraded: the anonymous fallback backend
-  /// (no memfd, so no COW snapshot views and no remaps), or a region
-  /// that degraded after a remap failure. Copy publishes chosen by
-  /// use_rewiring=false are the default, not a degradation.
+  /// (no memfd, so no remaps), or a region that degraded after a remap
+  /// failure. Copy publishes chosen by use_rewiring=false are the
+  /// default, not a degradation.
   bool fallback_backend_active() const { return !region_->rewiring_enabled(); }
   size_t page_bytes() const { return region_->page_bytes(); }
   size_t backing_page_bytes() const { return region_->backing_page_bytes(); }
 
   /// Total bytes of one segment.
   size_t segment_bytes() const { return segment_capacity_ * sizeof(Item); }
-
-  // --------------------------------------------------- COW snapshots
-  // Thin passthroughs to the region's snapshot-view layer (ISSUE 9).
-  // Offsets are item indices; the region works in bytes.
-
-  /// Point-in-time read-only view of the item region; nullptr (with
-  /// `status`) when the backend can't support one — callers degrade to
-  /// heap copies. The view's byte at offset i*sizeof(Item) images
-  /// items_[i].
-  std::unique_ptr<RewiredRegion::SnapshotView> CreateSnapshotView(
-      Status* status = nullptr) {
-    return region_->CreateSnapshotView(status);
-  }
-
-  /// Freeze the view's image of the page-aligned interior of items
-  /// [item_begin, item_end); see RewiredRegion::CowPreserveRange.
-  RewiredRegion::CowResult CowPreserveItems(
-      const RewiredRegion::SnapshotView& view, size_t item_begin,
-      size_t item_end) {
-    return region_->CowPreserveRange(view, item_begin * sizeof(Item),
-                                     (item_end - item_begin) * sizeof(Item));
-  }
-
-  uint64_t snapshot_views_open() const { return region_->snapshot_views_open(); }
-  uint64_t cow_page_copies() const { return region_->cow_page_copies(); }
-  uint64_t cow_retained_page_bytes() const {
-    return region_->cow_retained_page_bytes();
-  }
 
  private:
   // Uninitialized shell for TryCreate; Init() does the real work.

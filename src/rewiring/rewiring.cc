@@ -203,8 +203,6 @@ std::unique_ptr<RewiredRegion> RewiredRegion::Create(size_t region_bytes,
 }
 
 RewiredRegion::~RewiredRegion() {
-  CPMA_CHECK_MSG(views_open_.load(std::memory_order_relaxed) == 0,
-                 "RewiredRegion destroyed with open snapshot views");
 #if defined(__linux__)
   if (fd_ >= 0) {
     munmap(region_, region_bytes_);
@@ -336,14 +334,8 @@ void RewiredRegion::SwapPages(size_t region_offset, size_t buffer_offset,
       // Whole-publication failure injected before any mapping changed:
       // degrade straight to the copy path below.
       DegradeToCopy("injected rewiring.remap failure", ENOMEM);
-    } else {
-      // Shared vs the exclusive COW ops (view capture reads the whole
-      // backing table; CowPreserveRange rewrites entries): parallel
-      // workers swapping disjoint partitions still proceed together.
-      cow_mu_.lock_shared();
-      const bool swapped = TrySwapRemap(region_offset, buffer_offset, len);
-      cow_mu_.unlock_shared();
-      if (swapped) return;
+    } else if (TrySwapRemap(region_offset, buffer_offset, len)) {
+      return;
     }
     // TrySwapRemap restored the old mappings; fall through to copy.
   }
@@ -357,220 +349,6 @@ void RewiredRegion::SwapPages(size_t region_offset, size_t buffer_offset,
   num_remaps_.fetch_add(1, std::memory_order_relaxed);
   num_fallback_copies_.fetch_add(1, std::memory_order_relaxed);
 }
-
-// --------------------------------------------------------------- COW
-
-RewiredRegion::SnapshotView::~SnapshotView() {
-  if (owner_ != nullptr) owner_->CloseSnapshotView(this);
-}
-
-// First view of this region: size the pin/ref tables. Every file page
-// allocated so far is referenced by exactly one backing table (swaps
-// exchange table entries, they never orphan a page), so "in tables" is
-// uniformly true and pins are zero.
-void RewiredRegion::LazyInitCowTables() {
-  if (!page_pins_.empty()) return;
-  file_pages_ = (region_bytes_ + buffer_bytes_) / page_size_;
-  page_pins_.assign(file_pages_, 0);
-  page_in_tables_.assign(file_pages_, 1);
-}
-
-#if defined(__linux__)
-
-// Fresh file page for a COW copy: recycle a hole-punched page if one is
-// free, else grow the fd by one page. Failure (real ENOSPC or the
-// rewiring.cow_grow failpoint) is reported, not fatal — the caller
-// falls back to heap-copying its range.
-bool RewiredRegion::AllocFileTailPage(size_t* out_page) {
-  if (!free_file_pages_.empty()) {
-    *out_page = free_file_pages_.back();
-    free_file_pages_.pop_back();
-    return true;
-  }
-  if (CPMA_FAILPOINT("rewiring.cow_grow")) {
-    errno = ENOSPC;
-    return false;
-  }
-  const size_t page = file_pages_;
-  if (FtruncateRetry(fd_, static_cast<off_t>((page + 1) * page_size_)) != 0) {
-    return false;
-  }
-  file_pages_ = page + 1;
-  page_pins_.push_back(0);
-  page_in_tables_.push_back(0);
-  *out_page = page;
-  return true;
-}
-
-// Return a dead file page (no view pin, no table reference) to the free
-// list, releasing its physical memory. Punch-hole support is best
-// effort: without it the page's memory stays resident until recycled.
-void RewiredRegion::ReleaseFilePage(size_t page) {
-#if defined(FALLOC_FL_PUNCH_HOLE) && defined(FALLOC_FL_KEEP_SIZE)
-  int rc;
-  do {
-    rc = fallocate(fd_, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE,
-                   static_cast<off_t>(page * page_size_),
-                   static_cast<off_t>(page_size_));
-  } while (rc != 0 && errno == EINTR);
-#endif
-  free_file_pages_.push_back(page);
-}
-
-std::unique_ptr<RewiredRegion::SnapshotView> RewiredRegion::CreateSnapshotView(
-    Status* status) {
-  if (fd_ < 0) {
-    if (status != nullptr) {
-      *status = Status::InvalidArgument(
-          "snapshot views need the fd-backed rewiring backend (region is in "
-          "anonymous fallback mode)");
-    }
-    return nullptr;
-  }
-  cow_mu_.lock();
-  LazyInitCowTables();
-  auto fail = [&](const char* what, int err) {
-    cow_mu_.unlock();
-    if (status != nullptr) {
-      *status = Status::ResourceExhausted(
-          std::string("snapshot view mapping failed: ") + what + ": errno " +
-          std::to_string(err) + " (" + std::strerror(err) + ")");
-    }
-    return std::unique_ptr<SnapshotView>();
-  };
-  if (CPMA_FAILPOINT("rewiring.view_mmap")) return fail("mmap(injected)", ENOMEM);
-  // Reserve the range, then overlay read-only file mappings run by run
-  // (same coalescing as RemapRuns — a freshly created region is one
-  // run; swap history fragments it).
-  void* reserve = MmapRetry(nullptr, region_bytes_, PROT_NONE,
-                            MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (reserve == MAP_FAILED) return fail("mmap(reserve)", errno);
-  char* base = static_cast<char*>(reserve);
-  const size_t pages = region_bytes_ / page_size_;
-  size_t i = 0;
-  while (i < pages) {
-    size_t run = 1;
-    while (i + run < pages &&
-           region_backing_[i + run] == region_backing_[i] + run) {
-      ++run;
-    }
-    void* addr = base + i * page_size_;
-    void* res = MmapRetry(addr, run * page_size_, PROT_READ,
-                          MAP_SHARED | MAP_FIXED, fd_,
-                          static_cast<off_t>(region_backing_[i] * page_size_));
-    if (res != addr) {
-      const int err = errno;
-      munmap(base, region_bytes_);
-      return fail("mmap(view run)", err);
-    }
-    i += run;
-  }
-  auto v = std::unique_ptr<SnapshotView>(new SnapshotView());
-  v->owner_ = this;
-  v->base_ = base;
-  v->bytes_ = region_bytes_;
-  v->backing_ = region_backing_;
-  for (size_t p : v->backing_) ++page_pins_[p];
-  views_created_.fetch_add(1, std::memory_order_relaxed);
-  views_open_.fetch_add(1, std::memory_order_relaxed);
-  cow_mu_.unlock();
-  if (status != nullptr) *status = Status::OK();
-  return v;
-}
-
-void RewiredRegion::CloseSnapshotView(SnapshotView* view) {
-  cow_mu_.lock();
-  munmap(view->base_, view->bytes_);
-  for (size_t p : view->backing_) {
-    if (--page_pins_[p] == 0 && page_in_tables_[p] == 0) {
-      // Alive only for this view: release the superseded page.
-      ReleaseFilePage(p);
-      cow_retained_pages_.fetch_sub(1, std::memory_order_relaxed);
-    }
-  }
-  views_open_.fetch_sub(1, std::memory_order_relaxed);
-  cow_mu_.unlock();
-  view->owner_ = nullptr;
-}
-
-RewiredRegion::CowResult RewiredRegion::CowPreserveRange(
-    const SnapshotView& view, size_t offset, size_t len) {
-  CPMA_CHECK(view.owner_ == this && offset + len <= region_bytes_);
-  // Page-aligned interior; the partial-page edges stay the caller's
-  // problem (they may share pages with ranges owned by other writers,
-  // which this view must not freeze mid-write).
-  const size_t lo = (offset + page_size_ - 1) / page_size_;
-  const size_t hi = (offset + len) / page_size_;
-  if (lo >= hi) return CowResult::kFrozen;  // no whole page inside
-  cow_mu_.lock();
-  // Staleness test: the view's image of a page equals live content only
-  // while the region still maps the file page captured at view
-  // creation. A swap publish that rewired this range since capture (a
-  // writer that raced the capture and skipped preservation) broke that;
-  // the caller must copy its bytes instead.
-  for (size_t p = lo; p < hi; ++p) {
-    if (region_backing_[p] != view.backing_[p]) {
-      cow_mu_.unlock();
-      return CowResult::kStale;
-    }
-  }
-  for (size_t p = lo; p < hi; ++p) {
-    const size_t old_page = region_backing_[p];
-    if (page_pins_[old_page] == 0) continue;  // already exclusive
-    size_t fresh = 0;
-    char* vaddr = region_ + p * page_size_;
-    // Copy current content to the fresh page through the fd, then remap
-    // the live region page onto it. The old page keeps the view's pin
-    // and leaves the tables: frozen until the last view closes.
-    if (!AllocFileTailPage(&fresh) ||
-        !PwriteFully(fd_, vaddr, page_size_, fresh * page_size_).ok()) {
-      cow_mu_.unlock();
-      return CowResult::kUnavailable;  // pages frozen so far stay valid
-    }
-    void* res = MmapRetry(vaddr, page_size_, PROT_READ | PROT_WRITE,
-                          MAP_SHARED | MAP_FIXED, fd_,
-                          static_cast<off_t>(fresh * page_size_));
-    if (res != vaddr) {
-      CPMA_CHECK_MSG(res == MAP_FAILED,
-                     "mmap(MAP_FIXED) returned an unexpected address during "
-                     "COW preserve");
-      ReleaseFilePage(fresh);
-      cow_mu_.unlock();
-      return CowResult::kUnavailable;
-    }
-    region_backing_[p] = fresh;
-    page_in_tables_[old_page] = 0;
-    page_in_tables_[fresh] = 1;
-    cow_page_copies_.fetch_add(1, std::memory_order_relaxed);
-    cow_retained_pages_.fetch_add(1, std::memory_order_relaxed);
-  }
-  cow_mu_.unlock();
-  return CowResult::kFrozen;
-}
-
-#else  // !__linux__
-
-bool RewiredRegion::AllocFileTailPage(size_t*) { return false; }
-void RewiredRegion::ReleaseFilePage(size_t) {}
-
-std::unique_ptr<RewiredRegion::SnapshotView> RewiredRegion::CreateSnapshotView(
-    Status* status) {
-  if (status != nullptr) {
-    *status = Status::InvalidArgument("snapshot views require linux");
-  }
-  return nullptr;
-}
-
-void RewiredRegion::CloseSnapshotView(SnapshotView* view) {
-  view->owner_ = nullptr;
-}
-
-RewiredRegion::CowResult RewiredRegion::CowPreserveRange(const SnapshotView&,
-                                                         size_t, size_t) {
-  return CowResult::kUnavailable;
-}
-
-#endif  // __linux__
 
 size_t RewiredRegion::backing_page_bytes() const {
 #if defined(__linux__)

@@ -12,16 +12,11 @@
 // degrades to plain allocation and SwapPages() performs the second copy;
 // rewiring_enabled() reports which mode is active so benchmarks can
 // label results.
-
-// ISSUE 9 adds copy-on-write snapshot views on top of the same fd: a
-// SnapshotView is a second, read-only mapping of the file pages that
-// back the region at capture time (O(mapped runs) mmap calls, zero
-// copy). The view pins those file pages; writers that need to mutate a
-// pinned page first re-back the live region with a fresh file page
-// carrying a copy of the current content (CowPreserveRange), so the
-// view's image never changes. Superseded pages stay allocated until the
-// last view pinning them closes, then their file extent is hole-punched
-// and recycled.
+//
+// Storage publishes rebalances by tagged copy unless
+// PmaConfig::use_rewiring opts into SwapPages; the remap arm is the only
+// user of the memfd backing. Snapshots do not touch this layer: they keep
+// each gate's pre-image as a heap copy (concurrent/snapshot.h).
 
 #pragma once
 
@@ -31,7 +26,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/latches.h"
 #include "common/status.h"
 
 namespace cpma {
@@ -124,76 +118,6 @@ class RewiredRegion {
   /// what a run really used instead of what it asked for.
   size_t backing_page_bytes() const;
 
-  // ----------------------------------------------------- COW snapshots
-
-  /// Read-only point-in-time mapping of the region's backing pages.
-  /// The image of a byte is guaranteed frozen (equal to the region
-  /// content at the last successful CowPreserveRange covering it) only
-  /// for ranges a caller explicitly preserved; other pages are shared
-  /// with the live region and mutate with it. Views must be destroyed
-  /// before their RewiredRegion (the region's destructor checks).
-  class SnapshotView {
-   public:
-    ~SnapshotView();
-    SnapshotView(const SnapshotView&) = delete;
-    SnapshotView& operator=(const SnapshotView&) = delete;
-
-    const char* data() const { return base_; }
-    size_t bytes() const { return bytes_; }
-
-   private:
-    friend class RewiredRegion;
-    SnapshotView() = default;
-
-    RewiredRegion* owner_ = nullptr;
-    char* base_ = nullptr;
-    size_t bytes_ = 0;
-    // File page backing each view page, captured at creation. The live
-    // region's image of page i equals the view's iff region_backing_[i]
-    // still matches — the staleness test CowPreserveRange applies.
-    std::vector<size_t> backing_;
-  };
-
-  /// Capture a view of the whole region. O(mapped runs) mmaps, no data
-  /// copy. Returns nullptr with `status` set when the backend cannot
-  /// support views (anonymous fallback mode) or mapping fails
-  /// (including the rewiring.view_mmap failpoint) — callers degrade to
-  /// heap copies.
-  std::unique_ptr<SnapshotView> CreateSnapshotView(Status* status = nullptr);
-
-  enum class CowResult {
-    kFrozen,       // view image of the page-aligned interior is now stable
-    kStale,        // region was re-backed since capture; view image is stale
-    kUnavailable,  // backend/allocation cannot freeze; nothing guaranteed
-  };
-
-  /// Freeze the view's image of the page-aligned interior of
-  /// [offset, offset+len): every file page still shared between the
-  /// live region and the view is copied to a fresh file page and the
-  /// region is remapped onto the copy, so subsequent region writes no
-  /// longer reach the view. Partial-page edges are NOT frozen — callers
-  /// preserve those few bytes themselves (they may share pages with
-  /// neighbours they don't own). On kStale/kUnavailable the caller must
-  /// fall back to copying the range; already-frozen pages stay valid.
-  CowResult CowPreserveRange(const SnapshotView& view, size_t offset,
-                             size_t len);
-
-  /// COW observability: views ever created / currently open, pages
-  /// copied to preserve a view, and bytes of file pages alive only
-  /// because a view pins them (the snapshot memory overhead).
-  uint64_t num_snapshot_views() const {
-    return views_created_.load(std::memory_order_relaxed);
-  }
-  uint64_t snapshot_views_open() const {
-    return views_open_.load(std::memory_order_relaxed);
-  }
-  uint64_t cow_page_copies() const {
-    return cow_page_copies_.load(std::memory_order_relaxed);
-  }
-  uint64_t cow_retained_page_bytes() const {
-    return cow_retained_pages_.load(std::memory_order_relaxed) * page_size_;
-  }
-
  private:
   RewiredRegion() = default;
 
@@ -207,12 +131,6 @@ class RewiredRegion {
                  bool allow_failpoints);
   void DegradeToCopy(const char* reason, int saved_errno);
 
-  // COW internals; all called with cow_mu_ held exclusive.
-  void LazyInitCowTables();
-  bool AllocFileTailPage(size_t* out_page);
-  void ReleaseFilePage(size_t page);
-  void CloseSnapshotView(SnapshotView* view);
-
   char* region_ = nullptr;
   char* buffer_ = nullptr;
   size_t region_bytes_ = 0;
@@ -220,7 +138,8 @@ class RewiredRegion {
   size_t page_size_ = 4096;
   int fd_ = -1;  // memfd; -1 => fallback mode
 
-  // Physical (file) page index backing each virtual page.
+  // Physical (file) page index backing each virtual page. Parallel
+  // rebalance workers swap disjoint ranges, so the tables need no lock.
   std::vector<size_t> region_backing_;
   std::vector<size_t> buffer_backing_;
 
@@ -233,22 +152,6 @@ class RewiredRegion {
   // copy. Workers race to set it (relaxed is fine — it only ever goes
   // false -> true and the copy path is always correct).
   std::atomic<bool> degraded_{false};
-
-  // --- COW snapshot state. The backing tables are read by parallel
-  // rebalance workers on disjoint ranges (no sync needed among them) but
-  // whole-table readers/writers appeared with views: swap publishes hold
-  // cow_mu_ shared, view create/close and CowPreserveRange hold it
-  // exclusive. Uncontended shared acquire is one CAS — noise next to the
-  // mmap calls it brackets.
-  mutable FairSharedMutex cow_mu_;
-  size_t file_pages_ = 0;                // current fd length, pages
-  std::vector<uint32_t> page_pins_;      // per file page: # open views mapping it
-  std::vector<uint8_t> page_in_tables_;  // 1 iff in region_/buffer_backing_
-  std::vector<size_t> free_file_pages_;  // allocated, unreferenced, hole-punched
-  std::atomic<uint64_t> views_created_{0};
-  std::atomic<uint64_t> views_open_{0};
-  std::atomic<uint64_t> cow_page_copies_{0};
-  std::atomic<uint64_t> cow_retained_pages_{0};
 };
 
 }  // namespace cpma

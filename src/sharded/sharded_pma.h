@@ -223,6 +223,8 @@ class ShardedPMA : public OrderedMap {
     // COW snapshots / durability (ISSUE 9), summed over shards.
     uint64_t snapshots_open = 0;
     uint64_t snapshots_taken = 0;
+    /// Heap bytes of the gate pre-images held by open snapshots
+    /// (ConcurrentPMA::cow_pages_retained_bytes(), summed over shards).
     uint64_t cow_retained_bytes = 0;
   };
   Stats GetStats() const;

@@ -253,14 +253,11 @@ TEST_F(CrashRecoveryTest, MidGcUnlink) {
 }
 
 // Opportunistic sites inside the storage/rebalance layers: the crash
-// lands mid-rebalance (remap publication) or mid-COW-grow rather than
-// inside the persist protocol. Surviving the whole storm without the
-// site firing is a valid outcome (e.g. a fallback-mode sandbox).
+// lands mid-rebalance (remap publication) or mid-region-creation rather
+// than inside the persist protocol. Surviving the whole storm without
+// the site firing is a valid outcome (e.g. a fallback-mode sandbox).
 TEST_F(CrashRecoveryTest, MidRemapPublication) {
   RunCase("rewiring.remap", /*deterministic=*/false);
-}
-TEST_F(CrashRecoveryTest, MidCowPageGrow) {
-  RunCase("rewiring.cow_grow", false);
 }
 TEST_F(CrashRecoveryTest, MidRegionCreate) {
   RunCase("storage.create", false);

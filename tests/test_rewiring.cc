@@ -186,116 +186,6 @@ TEST(RewiringNoRewire, ForcedFallbackSurvivesRepeatedSwaps) {
   }
 }
 
-// --------------------------------------------- COW snapshot views (ISSUE 9)
-
-TEST(RewiringSnapshot, ViewAliasesRegionUntilPreserved) {
-  auto r = RewiredRegion::Create(1 << 16, 1 << 16);
-  ASSERT_NE(r, nullptr);
-  if (!r->rewiring_enabled()) GTEST_SKIP() << "fallback backend: no views";
-  std::memset(r->data(), 0x5A, r->region_bytes());
-
-  Status st;
-  auto view = r->CreateSnapshotView(&st);
-  ASSERT_NE(view, nullptr) << st.ToString();
-  EXPECT_EQ(r->snapshot_views_open(), 1u);
-  EXPECT_EQ(view->bytes(), r->region_bytes());
-  // Unpreserved pages are shared: the view follows live writes.
-  EXPECT_EQ(static_cast<unsigned char>(view->data()[0]), 0x5A);
-  r->data()[0] = 0x11;
-  EXPECT_EQ(static_cast<unsigned char>(view->data()[0]), 0x11);
-
-  // Preserve the whole region, then mutate: the view image is frozen.
-  ASSERT_EQ(r->CowPreserveRange(*view, 0, r->region_bytes()),
-            RewiredRegion::CowResult::kFrozen);
-  EXPECT_GT(r->cow_page_copies(), 0u);
-  EXPECT_GT(r->cow_retained_page_bytes(), 0u);
-  std::memset(r->data(), 0xEE, r->region_bytes());
-  EXPECT_EQ(static_cast<unsigned char>(view->data()[0]), 0x11);
-  for (size_t i = 1; i < view->bytes(); ++i) {
-    ASSERT_EQ(static_cast<unsigned char>(view->data()[i]), 0x5A) << i;
-  }
-
-  view.reset();
-  EXPECT_EQ(r->snapshot_views_open(), 0u);
-  // Superseded pages were unpinned and recycled at view close.
-  EXPECT_EQ(r->cow_retained_page_bytes(), 0u);
-  EXPECT_EQ(r->num_snapshot_views(), 1u);
-}
-
-TEST(RewiringSnapshot, RemapPublicationWhileViewOpen) {
-  // The ISSUE 9 satellite: SwapPages (the rebalancer's remap publish)
-  // while a snapshot view is open. A preserved range must stay frozen
-  // across the publication; the live region sees the buffer content.
-  auto r = RewiredRegion::Create(1 << 16, 1 << 16);
-  ASSERT_NE(r, nullptr);
-  if (!r->rewiring_enabled()) GTEST_SKIP() << "fallback backend: no views";
-  const size_t page = r->page_size();
-  std::memset(r->data(), 0xAA, 4 * page);
-
-  auto view = r->CreateSnapshotView(nullptr);
-  ASSERT_NE(view, nullptr);
-  ASSERT_EQ(r->CowPreserveRange(*view, 0, 4 * page),
-            RewiredRegion::CowResult::kFrozen);
-
-  std::memset(r->buffer(), 0xBB, 2 * page);
-  r->SwapPages(0, 0, 2 * page);
-  EXPECT_EQ(static_cast<unsigned char>(r->data()[0]), 0xBB);
-  EXPECT_EQ(static_cast<unsigned char>(r->data()[2 * page]), 0xAA);
-  for (size_t i = 0; i < 4 * page; ++i) {
-    ASSERT_EQ(static_cast<unsigned char>(view->data()[i]), 0xAA) << i;
-  }
-
-  // Any re-backed page — whether swapped by the publication above or
-  // remapped by the preserve itself — makes a later preserve of that
-  // range report stale: the caller must fall back to a heap copy (the
-  // view's image of those pages is already fixed either way).
-  EXPECT_EQ(r->CowPreserveRange(*view, 0, 2 * page),
-            RewiredRegion::CowResult::kStale);
-  EXPECT_EQ(r->CowPreserveRange(*view, 2 * page, 2 * page),
-            RewiredRegion::CowResult::kStale);
-}
-
-TEST(RewiringSnapshot, TwoViewsFreezeIndependently) {
-  auto r = RewiredRegion::Create(1 << 15, 1 << 15);
-  ASSERT_NE(r, nullptr);
-  if (!r->rewiring_enabled()) GTEST_SKIP() << "fallback backend: no views";
-  const size_t page = r->page_size();
-
-  std::memset(r->data(), 1, page);
-  auto v1 = r->CreateSnapshotView(nullptr);
-  ASSERT_NE(v1, nullptr);
-  ASSERT_EQ(r->CowPreserveRange(*v1, 0, page),
-            RewiredRegion::CowResult::kFrozen);
-
-  std::memset(r->data(), 2, page);
-  auto v2 = r->CreateSnapshotView(nullptr);
-  ASSERT_NE(v2, nullptr);
-  ASSERT_EQ(r->CowPreserveRange(*v2, 0, page),
-            RewiredRegion::CowResult::kFrozen);
-
-  std::memset(r->data(), 3, page);
-  EXPECT_EQ(v1->data()[0], 1);
-  EXPECT_EQ(v2->data()[0], 2);
-  EXPECT_EQ(r->data()[0], 3);
-
-  // Close the older view first; the newer one keeps its image.
-  v1.reset();
-  EXPECT_EQ(v2->data()[0], 2);
-  v2.reset();
-  EXPECT_EQ(r->cow_retained_page_bytes(), 0u);
-}
-
-TEST(RewiringSnapshot, FallbackBackendReportsUnavailable) {
-  ForcedNoRewire guard;
-  auto r = RewiredRegion::Create(1 << 14, 1 << 14);
-  ASSERT_NE(r, nullptr);
-  ASSERT_FALSE(r->rewiring_enabled());
-  Status st;
-  auto view = r->CreateSnapshotView(&st);
-  EXPECT_EQ(view, nullptr);
-  EXPECT_FALSE(st.ok());
-}
-
 TEST(RewiringNoRewire, EnvReadPerCreateNotProcessWide) {
   std::unique_ptr<RewiredRegion> forced;
   {

@@ -12,13 +12,18 @@
 //  - Frozen*: a snapshot equals the oracle at capture, stays bit-equal
 //    across repeated reads while the live structure diverges (upserts,
 //    deletes, rebalances, resizes), and its scan_retries() counter
-//    stays 0 — the reader has no restart path, by construction.
+//    stays 0 — the reader has no restart path, by construction. The
+//    pre-images it holds are reported by cow_pages_retained_bytes()
+//    until it is destroyed.
 //  - RangeScansSeekThroughMovedFences: range scans seek to min's gate
 //    by the live index and walk the frozen fences from there; ranges at
 //    the start, middle and end match the oracle after fences moved.
 //  - Storm*: snapshots taken mid-write-storm are internally consistent:
 //    strictly ascending scans, self-consistent derived values, two
 //    passes identical, zero retries.
+//  - FrozenWhileLiveDiverges and StormScans* run over PreserveConfigs():
+//    sub-page gates, the paper's four-page gates, and both with remap
+//    publishes.
 //  - Sharded*: ShardedPMA::Snapshot() drains the coalescing front door
 //    (everything Insert()ed before the call is captured) and freezes
 //    all shards; range concatenation and hash k-way merge both yield
@@ -51,6 +56,22 @@ ConcurrentConfig SmallConfig(size_t seg_cap = 16) {
   cfg.segments_per_gate = 4;
   cfg.rebalancer_workers = 2;
   return cfg;
+}
+
+// Inputs for the preservation path: SmallConfig's 1 KiB gates; the
+// paper geometry (B = 128, 8 segments per gate), whose 16 KiB gates are
+// exactly four pages; and both with rebalances published by page remap.
+std::vector<std::pair<const char*, ConcurrentConfig>> PreserveConfigs() {
+  ConcurrentConfig paper = SmallConfig(128);
+  paper.segments_per_gate = 8;
+  ConcurrentConfig small_remap = SmallConfig();
+  ConcurrentConfig paper_remap = paper;
+  small_remap.pma.use_rewiring = true;
+  paper_remap.pma.use_rewiring = true;
+  return {{"small", SmallConfig()},
+          {"paper", paper},
+          {"small_remap", small_remap},
+          {"paper_remap", paper_remap}};
 }
 
 void ExpectSnapshotExactly(const std::map<Key, Value>& oracle,
@@ -96,43 +117,51 @@ TEST(Snapshot, EmptyPmaSnapshot) {
 }
 
 TEST(Snapshot, FrozenWhileLiveDiverges) {
-  ConcurrentPMA pma(SmallConfig());
-  std::map<Key, Value> oracle;
-  Random rng(17);
-  for (int i = 0; i < 3000; ++i) {
-    Key k = rng.NextBounded(10000) + 1;
-    Value v = rng.Next() >> 1;
-    pma.Insert(k, v);
-    oracle[k] = v;
-  }
-  pma.Flush();
-
-  auto snap = pma.Snapshot();
-  ExpectSnapshotExactly(oracle, *snap);
-
-  // Diverge hard: overwrite every oracle key, delete a third of them,
-  // and pour in enough new keys to force rebalances and resizes.
-  size_t i = 0;
-  for (const auto& [k, v] : oracle) {
-    (void)v;
-    if (i++ % 3 == 0) {
-      pma.Remove(k);
-    } else {
-      pma.Insert(k, 0xDEAD0000 + i);
+  for (const auto& [name, cfg] : PreserveConfigs()) {
+    SCOPED_TRACE(name);
+    ConcurrentPMA pma(cfg);
+    std::map<Key, Value> oracle;
+    Random rng(17);
+    for (int i = 0; i < 3000; ++i) {
+      Key k = rng.NextBounded(10000) + 1;
+      Value v = rng.Next() >> 1;
+      pma.Insert(k, v);
+      oracle[k] = v;
     }
-  }
-  for (int j = 0; j < 20000; ++j) {
-    pma.Insert(rng.NextBounded(1u << 20) + 20000, j);
-  }
-  pma.Flush();
-  ASSERT_NE(pma.Size(), oracle.size());
+    pma.Flush();
 
-  // The frozen image is untouched — twice (repeated materialization).
-  ExpectSnapshotExactly(oracle, *snap);
-  ExpectSnapshotExactly(oracle, *snap);
-  EXPECT_EQ(snap->scan_retries(), 0u);
-  snap.reset();
-  EXPECT_EQ(pma.snapshots_open(), 0u);
+    auto snap = pma.Snapshot();
+    ExpectSnapshotExactly(oracle, *snap);
+    EXPECT_EQ(pma.cow_pages_retained_bytes(), 0u);  // nothing mutated yet
+
+    // Diverge hard: overwrite every oracle key, delete a third of them,
+    // and pour in enough new keys to force rebalances and resizes.
+    size_t i = 0;
+    for (const auto& [k, v] : oracle) {
+      (void)v;
+      if (i++ % 3 == 0) {
+        pma.Remove(k);
+      } else {
+        pma.Insert(k, 0xDEAD0000 + i);
+      }
+    }
+    for (int j = 0; j < 20000; ++j) {
+      pma.Insert(rng.NextBounded(1u << 20) + 20000, j);
+    }
+    pma.Flush();
+    ASSERT_NE(pma.Size(), oracle.size());
+    // Every mutated gate left its pre-image on the heap.
+    EXPECT_GT(pma.cow_pages_retained_bytes(), 0u);
+    EXPECT_EQ(pma.cow_pages_retained_bytes(), snap->retained_bytes());
+
+    // The frozen image is untouched — twice (repeated materialization).
+    ExpectSnapshotExactly(oracle, *snap);
+    ExpectSnapshotExactly(oracle, *snap);
+    EXPECT_EQ(snap->scan_retries(), 0u);
+    snap.reset();
+    EXPECT_EQ(pma.snapshots_open(), 0u);
+    EXPECT_EQ(pma.cow_pages_retained_bytes(), 0u);
+  }
 }
 
 TEST(Snapshot, RangeScanRespectsBounds) {
@@ -259,57 +288,60 @@ TEST(Snapshot, SurvivesResizeOfLiveStructure) {
 }
 
 TEST(Snapshot, StormScansAreConsistentAndRetryFree) {
-  ConcurrentPMA pma(SmallConfig());
-  // Value is derived from the key, so ANY point-in-time cut satisfies
-  // v == 3k+1 for every item; the frozen cut additionally must be
-  // identical across two passes.
-  constexpr Key kSpace = 50000;
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> writers;
-  for (int w = 0; w < 3; ++w) {
-    writers.emplace_back([&pma, w, &stop] {
-      Random rng(1000 + w);
-      while (!stop.load(std::memory_order_relaxed)) {
-        Key k = rng.NextBounded(kSpace) + 1;
-        if (rng.NextBounded(4) == 0) {
-          pma.Remove(k);
-        } else {
-          pma.Insert(k, 3 * k + 1);
+  for (const auto& [name, cfg] : PreserveConfigs()) {
+    SCOPED_TRACE(name);
+    ConcurrentPMA pma(cfg);
+    // Value is derived from the key, so ANY point-in-time cut satisfies
+    // v == 3k+1 for every item; the frozen cut additionally must be
+    // identical across two passes.
+    constexpr Key kSpace = 50000;
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < 3; ++w) {
+      writers.emplace_back([&pma, w, &stop] {
+        Random rng(1000 + w);
+        while (!stop.load(std::memory_order_relaxed)) {
+          Key k = rng.NextBounded(kSpace) + 1;
+          if (rng.NextBounded(4) == 0) {
+            pma.Remove(k);
+          } else {
+            pma.Insert(k, 3 * k + 1);
+          }
         }
-      }
-    });
+      });
+    }
+    for (int round = 0; round < 8; ++round) {
+      auto snap = pma.Snapshot();
+      std::vector<std::pair<Key, Value>> pass1;
+      Key prev = 0;
+      snap->Scan(kKeyMin, kKeyMax, [&](Key k, Value v) {
+        EXPECT_GT(k, prev);  // strictly ascending: consistent fences
+        prev = k;
+        EXPECT_EQ(v, 3 * k + 1);
+        pass1.emplace_back(k, v);
+        return true;
+      });
+      // The second pass re-materializes every gate; the image must be
+      // bit-identical even though writers kept mutating.
+      size_t idx = 0;
+      snap->Scan(kKeyMin, kKeyMax, [&](Key k, Value v) {
+        EXPECT_LT(idx, pass1.size());
+        if (idx < pass1.size()) {
+          EXPECT_EQ(k, pass1[idx].first);
+          EXPECT_EQ(v, pass1[idx].second);
+        }
+        ++idx;
+        return true;
+      });
+      EXPECT_EQ(idx, pass1.size());
+      EXPECT_EQ(snap->CountItems(), pass1.size());
+      // The acceptance criterion: snapshot scans under a write storm
+      // complete with zero retries, structurally.
+      EXPECT_EQ(snap->scan_retries(), 0u);
+    }
+    stop.store(true);
+    for (auto& t : writers) t.join();
   }
-  for (int round = 0; round < 8; ++round) {
-    auto snap = pma.Snapshot();
-    std::vector<std::pair<Key, Value>> pass1;
-    Key prev = 0;
-    snap->Scan(kKeyMin, kKeyMax, [&](Key k, Value v) {
-      EXPECT_GT(k, prev);  // strictly ascending: consistent fences
-      prev = k;
-      EXPECT_EQ(v, 3 * k + 1);
-      pass1.emplace_back(k, v);
-      return true;
-    });
-    // The second pass re-materializes every gate; the image must be
-    // bit-identical even though writers kept mutating.
-    size_t idx = 0;
-    snap->Scan(kKeyMin, kKeyMax, [&](Key k, Value v) {
-      EXPECT_LT(idx, pass1.size());
-      if (idx < pass1.size()) {
-        EXPECT_EQ(k, pass1[idx].first);
-        EXPECT_EQ(v, pass1[idx].second);
-      }
-      ++idx;
-      return true;
-    });
-    EXPECT_EQ(idx, pass1.size());
-    EXPECT_EQ(snap->CountItems(), pass1.size());
-    // The acceptance criterion: snapshot scans under a write storm
-    // complete with zero retries, structurally.
-    EXPECT_EQ(snap->scan_retries(), 0u);
-  }
-  stop.store(true);
-  for (auto& t : writers) t.join();
 }
 
 TEST(Snapshot, OpenSnapshotBlocksDestruction) {
@@ -350,6 +382,7 @@ TEST(ShardedSnapshot, DrainsCoalescingAndFreezesAllShards) {
     // Diverge the live fleet, then verify the frozen cut.
     for (int i = 0; i < 2000; ++i) pma.Insert(rng.NextBounded(100000) + 1, 7);
     pma.Flush();
+    EXPECT_GT(pma.GetStats().cow_retained_bytes, 0u);  // heap pre-images
 
     EXPECT_EQ(snap->CountItems(), oracle.size());
     auto it = oracle.begin();
@@ -380,6 +413,7 @@ TEST(ShardedSnapshot, DrainsCoalescingAndFreezesAllShards) {
     auto stats = pma.GetStats();
     EXPECT_EQ(stats.snapshots_taken, 4u);
     EXPECT_EQ(stats.snapshots_open, 0u);
+    EXPECT_EQ(stats.cow_retained_bytes, 0u);
   }
 }
 
