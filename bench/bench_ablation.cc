@@ -40,7 +40,6 @@ ConcurrentConfig PmaConfigFor(size_t segment_capacity) {
   ConcurrentConfig cfg;
   cfg.pma.segment_capacity = segment_capacity;
   cfg.segments_per_gate = 8;
-  cfg.rebalancer_workers = 8;
   cfg.async_mode = ConcurrentConfig::AsyncMode::kBatch;
   cfg.t_delay_ms = 100;
   return cfg;

@@ -33,12 +33,11 @@ std::unique_ptr<OrderedMap> MakeStructure(const std::string& which) {
   if (which == "masstree") return std::make_unique<Masstree>();
   if (which == "bwtree") return std::make_unique<BwTree>();
   if (which == "art") return std::make_unique<ArtBTree>(4096);
-  // Paper configuration: B=128, 8 segments/gate, 8 workers, async batch
-  // processing with t_delay = 100 ms.
+  // Paper configuration: B=128, 8 segments/gate, async batch processing
+  // with t_delay = 100 ms (the master merges every window alone).
   ConcurrentConfig cfg;
   cfg.pma.segment_capacity = 128;
   cfg.segments_per_gate = 8;
-  cfg.rebalancer_workers = 8;
   cfg.async_mode = ConcurrentConfig::AsyncMode::kBatch;
   cfg.t_delay_ms = 100;
   return std::make_unique<ConcurrentPMA>(cfg);

@@ -45,7 +45,6 @@ void RunPanel(int upd_threads, size_t ops, uint64_t range, BenchJson* json) {
       ConcurrentConfig cfg;
       cfg.pma.segment_capacity = 128;
       cfg.segments_per_gate = 8;
-      cfg.rebalancer_workers = 8;
       cfg.async_mode = spec.mode;
       cfg.t_delay_ms = spec.t_delay_ms;
       ConcurrentPMA pma(cfg);

@@ -138,9 +138,10 @@ void BM_SpreadRewiredVsCopy(benchmark::State& state) {
     st.set_card(s, 64);
   }
   st.RebuildRoutes(0, 1024);
+  const std::vector<BatchEntry> no_ops;  // a spread with no pending ops
   for (auto _ : state) {
-    WindowPlan plan = PlanSpread(st, 0, 1024, false, SIZE_MAX);
-    CopyPartitionToBuffer(&st, plan, 0, 1024);
+    WindowPlan plan = PlanMergedSpread(st, 0, 1024, 64 * 1024);
+    MergedCopyToBuffer(&st, plan, no_ops);
     FinishSpread(&st, plan);
   }
   state.SetLabel(rewire ? "rewired" : "copy");

@@ -113,13 +113,15 @@ void BenchSpread(BenchJson* json, uint64_t segments, uint64_t reps,
     FillEven(&st, 64);
   }
   const size_t m = LiveCount(st);
+  // A spread with no pending ops: a merged spread of an empty batch.
   // Plan + copy only: publishing would install the even layout and turn
   // every repetition after the first into a uniform spread, so the
   // skewed shape would never be re-measured. The publish (SwapWindow)
   // is covered by BM_SpreadRewiredVsCopy in bench_micro.
+  const std::vector<BatchEntry> no_ops;
   const Best best = BestOf(reps, m, [&] {
-    WindowPlan plan = PlanSpread(st, 0, st.num_segments(), false, SIZE_MAX);
-    CopyPartitionToBuffer(&st, plan, 0, st.num_segments());
+    WindowPlan plan = PlanMergedSpread(st, 0, st.num_segments(), m);
+    MergedCopyToBuffer(&st, plan, no_ops);
   });
   Report(json, skewed ? "spread_skewed" : "spread_uniform", best, "el", m);
 }

@@ -78,7 +78,6 @@ std::unique_ptr<OrderedMap> MakeBackend(const std::string& which) {
     ConcurrentConfig cfg;
     cfg.pma.segment_capacity = 128;
     cfg.segments_per_gate = 8;
-    cfg.rebalancer_workers = 8;
     cfg.async_mode = ConcurrentConfig::AsyncMode::kSync;
     return std::make_unique<ConcurrentPMA>(cfg);
   }

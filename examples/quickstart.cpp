@@ -42,7 +42,6 @@ int main() {
   ConcurrentConfig cfg;
   cfg.pma.segment_capacity = 128;   // B = 128
   cfg.segments_per_gate = 8;        // gate = 8 segments
-  cfg.rebalancer_workers = 8;       // master/worker rebalancer
   cfg.async_mode = ConcurrentConfig::AsyncMode::kBatch;
   cfg.t_delay_ms = 100;             // batch throttle
   ConcurrentPMA pma(cfg);

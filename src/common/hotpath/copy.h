@@ -70,7 +70,7 @@ inline void CopyItems(Item* dst, const Item* src, size_t n, bool stream) {
 }
 
 /// Publish barrier for a batch of streaming copies: call once per
-/// partition/window after its CopyItems runs, before the buffer is made
+/// window after its CopyItems runs, before the buffer is made
 /// visible to other threads. Non-temporal stores are weakly ordered —
 /// neither a mutex unlock nor a release store is guaranteed to drain
 /// the write-combining buffers, only sfence is. One fence per window

@@ -14,8 +14,8 @@
 // then builds a *pin order*: one logical CPU per distinct physical core
 // first — round-robin across packages — and only then the remaining SMT
 // siblings. Slot s pins to pin_order[s % n], so the first `num_cores`
-// bench/worker threads each own a physical core before any two share
-// one. The detected placement is exposed for bench JSON records
+// bench threads or shard masters each own a physical core before any two
+// share one. The detected placement is exposed for bench JSON records
 // (TopologySummary / PinCpuForSlot), so a measurement on a weird host
 // carries the evidence of where its threads actually ran.
 
@@ -60,7 +60,7 @@ int PinCpuForSlot(unsigned slot);
 
 /// Pin the calling thread to the exact logical CPU `cpu` (no pin-order
 /// indirection) — for callers that already resolved placement, like the
-/// rebalancer honouring ConcurrentConfig::worker_cpus. Returns false
+/// rebalancer honouring ConcurrentConfig::rebalancer_cpu. Returns false
 /// when the CPU is not in the allowed set or affinity is unavailable.
 bool PinToCpu(int cpu);
 

@@ -1,6 +1,7 @@
-// Fixed-size thread pool. Used by the rebalancer's worker threads and by
-// the parallel resize path. Tasks are std::function thunks; WaitGroup
-// gives callers a count-down barrier to join a batch of tasks.
+// Fixed-size thread pool. Its one user is ShardedPMA::LoadSorted, which
+// builds the shards of a restore in parallel. Tasks are std::function
+// thunks; WaitGroup gives callers a count-down barrier to join a batch of
+// tasks.
 //
 // Spawn failures (std::system_error from std::thread, or the
 // threadpool.spawn failpoint) degrade the pool instead of killing the
@@ -51,15 +52,7 @@ class WaitGroup {
 
 class ThreadPool {
  public:
-  /// `thread_init`, when set, runs once in each worker thread before it
-  /// starts taking tasks, with the worker's index — the per-shard
-  /// affinity hook (ISSUE 8: the sharded front end pins each shard's
-  /// rebalancer workers to that shard's CPUs). It is NOT invoked for
-  /// tasks that execute inline on the caller after a fully degraded
-  /// spawn: the caller's placement belongs to the caller.
-  explicit ThreadPool(size_t num_threads,
-                      std::function<void(size_t)> thread_init = nullptr)
-      : thread_init_(std::move(thread_init)) {
+  explicit ThreadPool(size_t num_threads) {
     threads_.reserve(num_threads);
     for (size_t i = 0; i < num_threads; ++i) {
       if (CPMA_FAILPOINT("threadpool.spawn")) {
@@ -67,10 +60,7 @@ class ThreadPool {
         continue;
       }
       try {
-        threads_.emplace_back([this, i] {
-          if (thread_init_) thread_init_(i);
-          WorkerLoop();
-        });
+        threads_.emplace_back([this] { WorkerLoop(); });
       } catch (const std::system_error&) {
         // Resource exhaustion (EAGAIN et al.): run degraded with the
         // threads we have rather than dying.
@@ -137,7 +127,6 @@ class ThreadPool {
   std::condition_variable cv_;
   std::deque<std::function<void()>> tasks_;
   std::vector<std::thread> threads_;
-  std::function<void(size_t)> thread_init_;
   bool stop_ = false;
   size_t spawn_failures_ = 0;  // written only during construction
 };

@@ -105,7 +105,7 @@ ConcurrentPMA::ConcurrentPMA(const ConcurrentConfig& config) : cfg_(config) {
                                                cfg_.pma.use_rewiring))
           .release(),
       std::memory_order_release);
-  rebalancer_ = std::make_unique<Rebalancer>(this, cfg_.rebalancer_workers);
+  rebalancer_ = std::make_unique<Rebalancer>(this);
   rebalancer_->Start();
   gc_.StartBackgroundCollector();
 }
@@ -445,30 +445,18 @@ bool ConcurrentPMA::ApplyOpLocal(Structure* snap, Gate* gate, const GateOp& op,
     return true;
   }
 
-  int attempts = 0;
-  for (;;) {
-    const size_t s = LocateSegment(*snap, *gate, op.key);
-    Item* seg = st->segment(s);
-    const uint32_t card = st->card(s);
-    const size_t pos = hotpath::SegmentLowerBoundForUpdate(seg, card, op.key);
-    if (pos < card && seg[pos].key == op.key) {
-      TaggedStore(&seg[pos].value, op.value);  // upsert
-      return true;
-    }
-    if (card < B) {
-      hotpath::TaggedMoveItems(seg + pos + 1, seg + pos, card - pos);
-      hotpath::TaggedStoreItem(seg + pos, Item{op.key, op.value});
-      st->set_card(s, card + 1);
-      if (pos == 0 && s > 0) st->set_route(s, op.key);
-      st->bump_insert_count(s);
-      count_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    // Segment full: local rebalance over in-gate calibrator windows.
-    if (++attempts > 8) {
-      *trigger_seg = s;
-      return false;
-    }
+  size_t s = LocateSegment(*snap, *gate, op.key);
+  Item* seg = st->segment(s);
+  uint32_t card = st->card(s);
+  size_t pos = hotpath::SegmentLowerBoundForUpdate(seg, card, op.key);
+  if (pos < card && seg[pos].key == op.key) {
+    TaggedStore(&seg[pos].value, op.value);  // upsert
+    return true;
+  }
+  if (card == B) {
+    // Segment full: one local spread over the smallest in-gate calibrator
+    // window that keeps a free slot in every segment (m + n <= cap), so
+    // the key's segment has room afterwards, wherever it routes.
     DensityBounds bounds(cfg_.pma, st->num_segments());
     const size_t gate_level = Log2Floor(snap->segments_per_gate);
     bool spread_done = false;
@@ -483,9 +471,8 @@ bool ConcurrentPMA::ApplyOpLocal(Structure* snap, Gate* gate, const GateOp& op,
       const double delta =
           static_cast<double>(m) / static_cast<double>(cap);
       if (delta <= bounds.Tau(level) && m + (e - b) <= cap) {
-        WindowPlan plan =
-            PlanSpread(*st, b, e, adaptive_effective(), /*trigger_seg=*/s);
-        CopyPartitionToBuffer(st, plan, b, e);
+        WindowPlan plan = PlanMergedSpread(*st, b, e, m, adaptive_effective());
+        MergedCopyToBuffer(st, plan, /*ops=*/{});
         FinishSpread(st, plan);
         stat_local_rebalances_.fetch_add(1, std::memory_order_relaxed);
         spread_done = true;
@@ -496,7 +483,19 @@ bool ConcurrentPMA::ApplyOpLocal(Structure* snap, Gate* gate, const GateOp& op,
       *trigger_seg = s;
       return false;  // needs the rebalancer (window exceeds the gate)
     }
+    s = LocateSegment(*snap, *gate, op.key);
+    seg = st->segment(s);
+    card = st->card(s);
+    CPMA_CHECK_MSG(card < B, "local spread left the key's segment full");
+    pos = hotpath::SegmentLowerBoundForUpdate(seg, card, op.key);
   }
+  hotpath::TaggedMoveItems(seg + pos + 1, seg + pos, card - pos);
+  hotpath::TaggedStoreItem(seg + pos, Item{op.key, op.value});
+  st->set_card(s, card + 1);
+  if (pos == 0 && s > 0) st->set_route(s, op.key);
+  st->bump_insert_count(s);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 bool ConcurrentPMA::ApplyBatchLocal(Structure* snap, Gate* gate,
@@ -539,8 +538,9 @@ bool ConcurrentPMA::ApplyBatchLocal(Structure* snap, Gate* gate,
       inserts.push_back(e);
     }
   }
-  // Second pass: insertions — individually while they fit without
-  // spilling out of the gate, then as one merged gate-window spread.
+  // Second pass: insertions, individually while they fit inside the
+  // gate. The rest spills to the rebalancer: the gate-window spread that
+  // ApplyOpLocal just ruled out held at least one element fewer.
   size_t next = 0;
   while (next < inserts.size() &&
          ApplyOpLocal(snap, gate,
@@ -550,9 +550,8 @@ bool ConcurrentPMA::ApplyBatchLocal(Structure* snap, Gate* gate,
     ++next;
   }
   if (next == inserts.size()) return true;
-  std::vector<BatchEntry> batch(inserts.begin() + next, inserts.end());
-  if (TryMergedGateSpread(snap, gate, batch)) return true;
-  for (const BatchEntry& e : batch) {
+  for (size_t i = next; i < inserts.size(); ++i) {
+    const BatchEntry& e = inserts[i];
     // Restore the winner's enqueue stamp: the remainder re-enters the
     // queue and must compete against fresh (younger) ops under its
     // original issue order, not a fabricated one.

@@ -2,7 +2,7 @@
 // supporting concurrent reads and updates via
 //   gates (chunk latches + fence keys)      §3.1  concurrent/gate.h
 //   a latch-free static index over gates    §3.2  concurrent/static_index.h
-//   a master/worker rebalancer service      §3.3  concurrent/rebalancer.h
+//   a rebalancer master thread              §3.3  concurrent/rebalancer.h
 //   epoch-based GC for resizes              §3.4  common/epoch_gc.h
 //   asynchronous updates (local combining)  §3.5  here + gate.h
 //
@@ -357,8 +357,8 @@ class ConcurrentPMA : public OrderedMap {
   // the configured async mode.
   void OwnerApplyAndDrain(Structure* snap, Gate* gate, GateOp op);
 
-  /// Apply one op inside the gate, running local (in-gate) rebalances as
-  /// needed. Returns false when a global rebalance is required; then
+  /// Apply one op inside the gate, after at most one local (in-gate)
+  /// spread. Returns false when a global rebalance is required; then
   /// *trigger_seg holds the violating segment.
   bool ApplyOpLocal(Structure* snap, Gate* gate, const GateOp& op,
                     size_t* trigger_seg);

@@ -43,32 +43,16 @@ std::vector<BatchEntry> CanonicalizeBatch(const std::deque<GateOp>& ops) {
   return out;
 }
 
-Rebalancer::Rebalancer(ConcurrentPMA* pma, size_t num_workers)
-    : pma_(pma),
-      workers_(num_workers,
-               // Per-shard worker affinity (ISSUE 8): when the config
-               // names CPUs, each worker pins to its round-robin slot in
-               // that set via the topology-aware pinner. Best effort —
-               // a failed pin leaves the worker floating, as before.
-               pma->config().worker_cpus.empty()
-                   ? std::function<void(size_t)>(nullptr)
-                   : [pma](size_t i) {
-                       const auto& cpus = pma->config().worker_cpus;
-                       PinToCpu(cpus[i % cpus.size()]);
-                     }) {}
+Rebalancer::Rebalancer(ConcurrentPMA* pma) : pma_(pma) {}
 
 Rebalancer::~Rebalancer() { Stop(); }
 
 void Rebalancer::Start() {
   if (master_.joinable()) return;
   master_ = std::thread([this] {
-    // The master shares the shard's first CPU: it mostly coordinates
-    // (drains queues, plans windows) and sleeps between requests, so
-    // co-locating it with worker 0 keeps the whole rebalance pipeline
-    // of a shard on that shard's cores.
-    if (!pma_->config().worker_cpus.empty()) {
-      PinToCpu(pma_->config().worker_cpus[0]);
-    }
+    // Best effort: a failed pin leaves the master floating.
+    const int cpu = pma_->config().rebalancer_cpu;
+    if (cpu >= 0) PinToCpu(cpu);
     MasterLoop();
   });
   if (pma_->watchdog_ms_ > 0) {
@@ -151,8 +135,22 @@ void Rebalancer::RequestRebalance(uint64_t version, uint32_t gate_id,
                                   size_t trigger_seg) {
   {
     std::lock_guard<std::mutex> lk(m_);
-    ready_.push_back(Request{Request::Type::kRebalance, version, gate_id,
-                             trigger_seg, 0});
+    const Request req{Request::Type::kWindow, version, gate_id,
+                      trigger_seg, 0};
+    // A sync or one-by-one writer whose op a failed resize requeued pops
+    // it again and asks at once; run now, the resize ladder would repeat
+    // back to back. Wait for the earliest pending retry instead.
+    int64_t retry_due = INT64_MAX;
+    for (const Request& r : deferred_) {
+      if (r.retry && r.version == version) {
+        retry_due = std::min(retry_due, r.due_ms);
+      }
+    }
+    if (retry_due == INT64_MAX) {
+      ready_.push_back(req);
+    } else {
+      DeferRetryLocked(req, retry_due);
+    }
   }
   cv_.notify_all();
 }
@@ -161,12 +159,11 @@ void Rebalancer::RequestBatch(uint64_t version, uint32_t gate_id,
                               int64_t due_ms) {
   {
     std::lock_guard<std::mutex> lk(m_);
+    const Request req{Request::Type::kWindow, version, gate_id, 0, due_ms};
     if (due_ms <= NowMillis() || ignore_due_times_) {
-      ready_.push_back(
-          Request{Request::Type::kBatch, version, gate_id, 0, due_ms});
+      ready_.push_back(req);
     } else {
-      deferred_.push_back(
-          Request{Request::Type::kBatch, version, gate_id, 0, due_ms});
+      deferred_.push_back(req);
     }
   }
   cv_.notify_all();
@@ -243,8 +240,7 @@ void Rebalancer::Dispatch(const Request& req) {
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
   }
   switch (req.type) {
-    case Request::Type::kRebalance:
-    case Request::Type::kBatch:
+    case Request::Type::kWindow:
       HandleWindowWork(req);
       break;
     case Request::Type::kShrink:
@@ -324,18 +320,16 @@ void Rebalancer::HandleWindowWork(const Request& req) {
   size_t gb = req.gate_id, ge = req.gate_id;
   std::deque<GateOp> raw;
   AcquireGatesAndDrain(snap, req.gate_id, req.gate_id + 1, &gb, &ge, &raw);
-  Gate& origin = snap->gates[req.gate_id];
-
+  // An empty queue means an earlier window drained and merged its ops
+  // (a writer's own op included), so nothing waits for this window.
+  if (raw.empty()) {
+    ReleaseGates(snap, gb, ge);
+    return;
+  }
+  const Gate& origin = snap->gates[req.gate_id];
   size_t trigger = req.trigger_seg;
   if (trigger < origin.seg_begin() || trigger >= origin.seg_end()) {
     trigger = origin.seg_begin();
-  }
-  // A rebalance request may have been resolved by an absorbed window
-  // while queued; with no batched work left, it is a no-op.
-  if (req.type == Request::Type::kRebalance && raw.empty() &&
-      st->card(trigger) < B) {
-    ReleaseGates(snap, gb, ge);
-    return;
   }
 
   DensityBounds bounds(pma_->cfg_.pma, st->num_segments());
@@ -360,14 +354,13 @@ void Rebalancer::HandleWindowWork(const Request& req) {
         pma_->PreserveGateForSnapshots(snap, &snap->gates[g]);
       }
       Progress("window:spread");
-      if (batch.empty()) {
-        ExecuteSpread(snap, b, e, trigger);
-      } else {
-        ExecuteMergedSpread(snap, b, e, batch, total);
-        pma_->count_.fetch_add(ins, std::memory_order_relaxed);
-        pma_->count_.fetch_sub(del, std::memory_order_relaxed);
-        pma_->stat_batches_.fetch_add(1, std::memory_order_relaxed);
-      }
+      WindowPlan plan =
+          PlanMergedSpread(*st, b, e, total, pma_->adaptive_effective());
+      MergedCopyToBuffer(st, plan, batch);
+      FinishSpread(st, plan);
+      pma_->count_.fetch_add(ins, std::memory_order_relaxed);
+      pma_->count_.fetch_sub(del, std::memory_order_relaxed);
+      pma_->stat_batches_.fetch_add(1, std::memory_order_relaxed);
       RecomputeFences(snap, b / spg, e / spg);
       const int64_t now = NowMillis();
       for (size_t g = b / spg; g < e / spg; ++g) {
@@ -408,79 +401,6 @@ void Rebalancer::HandleShrink(const Request& req) {
     snap->resize_requested.store(false, std::memory_order_release);
     ReleaseGates(snap, gb, ge);
   }
-}
-
-void Rebalancer::ExecuteSpread(Structure* snap, size_t seg_b, size_t seg_e,
-                               size_t trigger_seg) {
-  Storage* st = snap->storage.get();
-  const size_t spg = snap->segments_per_gate;
-  const size_t window_gates = (seg_e - seg_b) / spg;
-  WindowPlan plan = PlanSpread(*st, seg_b, seg_e, pma_->adaptive_effective(),
-                               trigger_seg);
-  const size_t P =
-      std::min(workers_.num_threads(), window_gates);
-  if (P >= 2 &&
-      window_gates >= pma_->cfg_.parallel_rebalance_min_gates) {
-    // Phase 1: all partitions copy into the buffer (reads from the live
-    // array never conflict with buffer writes). Phase 2: only after every
-    // copy completed is each partition published — the "delayed
-    // rewiring" coordination of §3.3, which holds for the default copy
-    // publish as for the opt-in page remap (Storage::SwapWindow).
-    //
-    // Partition boundaries balance *live elements*, not gate counts: a
-    // partition's copy cost is the elements it writes, and skewed
-    // windows (a hot append gate, adaptive plans) used to hand one
-    // worker nearly all of them while the rest idled. Cutting the
-    // cumulative target-cardinality prefix at each 1/P share keeps the
-    // workers even; boundaries stay on gates so SwapWindow keeps its
-    // page alignment for rewiring.
-    std::vector<std::pair<size_t, size_t>> parts;
-    uint64_t acc = 0;
-    size_t start_gate = 0;
-    for (size_t g = 0; g < window_gates; ++g) {
-      for (size_t s = 0; s < spg; ++s) acc += plan.target_card[g * spg + s];
-      if (g + 1 == window_gates ||
-          (parts.size() + 1 < P &&
-           acc * P >= uint64_t{plan.total} * (parts.size() + 1))) {
-        parts.emplace_back(seg_b + start_gate * spg, seg_b + (g + 1) * spg);
-        start_gate = g + 1;
-      }
-    }
-    WaitGroup wg;
-    Progress("spread:copy");
-    wg.Add(static_cast<int>(parts.size()));
-    for (auto [pb, pe] : parts) {
-      workers_.Submit([st, &plan, pb, pe, &wg] {
-        CopyPartitionToBuffer(st, plan, pb, pe);
-        wg.Done();
-      });
-    }
-    wg.Wait();
-    Progress("spread:swap");
-    wg.Add(static_cast<int>(parts.size()));
-    for (auto [pb, pe] : parts) {
-      workers_.Submit([st, pb, pe, &wg] {
-        st->SwapWindow(pb, pe);
-        wg.Done();
-      });
-    }
-    wg.Wait();
-    FinishSpread(st, plan, /*swap=*/false);
-  } else {
-    CopyPartitionToBuffer(st, plan, seg_b, seg_e);
-    FinishSpread(st, plan, /*swap=*/true);
-  }
-}
-
-void Rebalancer::ExecuteMergedSpread(Structure* snap, size_t seg_b,
-                                     size_t seg_e,
-                                     const std::vector<BatchEntry>& ops,
-                                     size_t merged_total) {
-  Storage* st = snap->storage.get();
-  WindowPlan plan = PlanMergedSpread(*st, seg_b, seg_e, merged_total,
-                                     pma_->adaptive_effective());
-  MergedCopyToBuffer(st, plan, ops);
-  FinishSpread(st, plan, /*swap=*/true);
 }
 
 bool Rebalancer::ExecuteResize(Structure* snap, std::deque<GateOp> extra) {
@@ -613,32 +533,42 @@ void Rebalancer::RequeueAndReschedule(Structure* snap,
   ++consecutive_resize_failures_;
   const int64_t backoff_ms = std::min<int64_t>(1000, int64_t{10} << shift);
 
-  Progress("resize:requeue");
-  ReleaseGates(snap, 0, num_gates);
-
-  // One deferred retry batch per gate holding requeued ops. They keep
-  // their backoff even while Drain() runs (MasterLoop), so a Flush()
-  // blocked on the requeued ops retries at the backoff pace instead of
-  // once per ladder pass, and returns within one step after allocation
-  // recovers.
+  // One deferred retry batch per gate holding requeued ops, scheduled
+  // before the gates are released: a sync or one-by-one writer woken by
+  // the release re-requests its requeued op at once, and must find the
+  // retry pending to wait for it. Retries keep their backoff even while
+  // Drain() runs (MasterLoop), so a Flush() blocked on the requeued ops
+  // retries at the backoff pace instead of once per ladder pass, and
+  // returns within one step after allocation recovers.
   if (requeued > 0) {
     const int64_t due = NowMillis() + backoff_ms;
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      for (size_t g = 0; g < num_gates; ++g) {
-        if (per_gate[g].empty()) continue;
-        deferred_.push_back(Request{Request::Type::kBatch, snap->version,
-                                    static_cast<uint32_t>(g), 0, due,
-                                    /*retry=*/true});
-      }
+    std::lock_guard<std::mutex> lk(m_);
+    for (size_t g = 0; g < num_gates; ++g) {
+      if (per_gate[g].empty()) continue;
+      DeferRetryLocked(Request{Request::Type::kWindow, snap->version,
+                               static_cast<uint32_t>(g), 0, 0},
+                       due);
     }
-    cv_.notify_all();
   }
+  Progress("resize:requeue");
+  ReleaseGates(snap, 0, num_gates);
   std::fprintf(stderr,
                "[cpma] resize failed (%zu consecutive): requeued %zu op(s) "
                "across %zu gate(s), retrying in %lld ms\n",
                consecutive_resize_failures_, requeued, affected_gates,
                static_cast<long long>(backoff_ms));
+}
+
+void Rebalancer::DeferRetryLocked(Request req, int64_t due_ms) {
+  for (Request& r : deferred_) {
+    if (r.retry && r.version == req.version && r.gate_id == req.gate_id) {
+      r.due_ms = std::max(r.due_ms, due_ms);
+      return;
+    }
+  }
+  req.due_ms = due_ms;
+  req.retry = true;
+  deferred_.push_back(req);
 }
 
 }  // namespace cpma

@@ -1,19 +1,20 @@
-// Rebalancer service (paper §3.3–3.4): one master thread plus a pool of
-// workers per sparse array.
+// Rebalancer service (paper §3.3–3.4): one master thread per sparse
+// array, which runs every window rebalance and resize itself.
 //
 // Writers that detect a rebalance spanning multiple gates transfer their
 // gate latch to the service (Gate::TransferToRebalancer) and enqueue a
 // request; the master computes the final window by walking the calibrator
 // tree upward, acquiring the gates it grows over and draining their
-// combining queues. When it drained ops — always in batch mode, and
-// whenever the requesting writer's own op is still queued in sync and
-// one-by-one modes — the master folds them into one merged spread
-// itself. Otherwise it splits the window into partitions executed by the
-// workers: each partition is copied into the buffer concurrently (reads
-// from the live array, writes to the buffer), and only after *all*
-// partitions finished copying are they published (Storage::SwapWindow:
-// copy, or page remap when opted in) — the "delayed rewiring"
-// coordination of §3.3.
+// combining queues, then folds the drained ops into one merged spread
+// (pma/spread.h) while it still holds every gate of the window.
+//
+// The paper's master splits a large window over a pool of workers. Here
+// every window the master runs carries ops: a sync or one-by-one writer
+// hands its own op over inside its gate's queue (per-key FIFO), and a
+// batch request exists to drain a queue. Folding sorted ops into a window
+// is one ordered pass, so the master merges alone. A request whose queue
+// comes up empty was absorbed by an earlier window that merged its ops,
+// so it releases its gates and does nothing.
 //
 // Batch requests (async batch mode, §3.5) carry a due time (t_delay
 // throttle); the master merges the gate's combining queue into the
@@ -35,7 +36,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "concurrent/concurrent_pma.h"
 #include "pma/spread.h"
 
@@ -48,7 +48,7 @@ std::vector<BatchEntry> CanonicalizeBatch(const std::deque<GateOp>& ops);
 
 class Rebalancer {
  public:
-  Rebalancer(ConcurrentPMA* pma, size_t num_workers);
+  explicit Rebalancer(ConcurrentPMA* pma);
   ~Rebalancer();
 
   Rebalancer(const Rebalancer&) = delete;
@@ -64,7 +64,8 @@ class Rebalancer {
 
   /// Writer -> master: the gate (already in REBAL state, ownership
   /// transferred) needs a window rebalance for a pending insertion into
-  /// `trigger_seg`.
+  /// `trigger_seg`. While a resize-failure retry waits out its backoff,
+  /// the request waits with it.
   void RequestRebalance(uint64_t version, uint32_t gate_id,
                         size_t trigger_seg);
 
@@ -86,7 +87,7 @@ class Rebalancer {
 
  private:
   struct Request {
-    enum class Type { kRebalance, kBatch, kShrink };
+    enum class Type { kWindow, kShrink };
     Type type;
     uint64_t version;
     uint32_t gate_id;
@@ -113,13 +114,12 @@ class Rebalancer {
 
   void WatchdogLoop();
 
-  /// Unified handler for rebalance and batch requests: walks the
+  /// Handler for every window request (rebalance and batch): walks the
   /// calibrator tree upward from the origin gate, draining the combining
   /// queue of every gate the window grows over, until the *merged* total
-  /// fits the level's threshold — then spreads (worker-parallel when no
-  /// batch, merged single-pass otherwise). Draining the queues together
-  /// with the fence update keeps per-key operation order intact: an op
-  /// can never be left queued under stale fences.
+  /// fits the level's threshold — then runs one merged spread. Draining
+  /// the queues together with the fence update keeps per-key operation
+  /// order intact: an op can never be left queued under stale fences.
   void HandleWindowWork(const Request& req);
   void HandleShrink(const Request& req);
 
@@ -133,15 +133,6 @@ class Rebalancer {
   void AcquireGatesAndDrain(Structure* snap, size_t nb, size_t ne, size_t* gb,
                             size_t* ge, std::deque<GateOp>* raw);
   void ReleaseGates(Structure* snap, size_t gb, size_t ge);
-
-  /// Execute a (possibly worker-parallel) spread of segments [b, e).
-  void ExecuteSpread(Structure* snap, size_t seg_b, size_t seg_e,
-                     size_t trigger_seg);
-
-  /// Merge `ops` into segments [b, e) (master-only, single-threaded).
-  void ExecuteMergedSpread(Structure* snap, size_t seg_b, size_t seg_e,
-                           const std::vector<BatchEntry>& ops,
-                           size_t merged_total);
 
   /// Full resize: requires *all* gates held ([gb,ge) == [0,num_gates)).
   /// Drains every combining queue, merges those updates plus `extra`,
@@ -170,14 +161,12 @@ class Rebalancer {
   /// escalating backoff.
   void RequeueAndReschedule(Structure* snap, const std::deque<GateOp>& ops);
 
-  // (MasterApplyOp, a master-as-client apply for escaped ops, was
-  // removed in ISSUE 5: it acquired gates WITHOUT draining their
-  // combining queues before ExecuteSpread moved fences — the one code
-  // path that could violate the "fences never move over a non-empty
-  // queue" ordering invariant. It was never called.)
+  /// Under m_: defer `req` as a resize-failure retry due at `due_ms`.
+  /// A gate keeps at most one pending retry: one that is already queued
+  /// drains the gate's whole queue, so it only takes the later due time.
+  void DeferRetryLocked(Request req, int64_t due_ms);
 
   ConcurrentPMA* pma_;
-  ThreadPool workers_;
 
   std::thread master_;
   std::mutex m_;

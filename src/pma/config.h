@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace cpma {
 
@@ -36,14 +35,14 @@ struct PmaConfig {
 
   /// Adaptive rebalancing (Bender & Hu; paper §2 "Adaptive rebalancing").
   /// Gaps are allocated proportionally to recent insertion activity
-  /// (weight 1 + decayed per-segment insert counter), for plain and
-  /// merged window spreads alike; resizes always split evenly. The
-  /// concurrent PMA applies it in sync and one-by-one modes only (batch
-  /// mode uses the even split, paper §3.5). On right-edge appends it
-  /// more than halves the global rebalances: single-thread sync
-  /// ConcurrentPMA (B = 128, 8 segments per gate), keys 2..400,000 step
-  /// 2 preloaded, then appending 400,001..600,000 runs 996 global
-  /// windows, against 2,515 with the even split.
+  /// (weight 1 + decayed per-segment insert counter), for every window
+  /// spread; resizes always split evenly. The concurrent PMA applies it
+  /// in sync and one-by-one modes only (batch mode uses the even split,
+  /// paper §3.5). On right-edge appends it more than halves the global
+  /// rebalances: single-thread sync ConcurrentPMA (B = 128, 8 segments
+  /// per gate), keys 2..400,000 step 2 preloaded, then appending
+  /// 400,001..600,000 runs 996 global windows, against 2,515 with the
+  /// even split.
   bool adaptive = true;
 
   /// Publish each rebalance by remapping the window's pages instead of
@@ -70,7 +69,9 @@ struct ConcurrentConfig {
   /// Fan-out of the static index over gates.
   size_t index_fanout = 16;
 
-  /// Worker threads in the rebalancer pool (paper §4: 8).
+  /// Has no effect. The paper sizes a rebalancer worker pool (§4: 8);
+  /// here the master merges every window alone (concurrent/rebalancer.h),
+  /// so a ConcurrentPMA starts no worker threads.
   size_t rebalancer_workers = 8;
 
   /// Asynchronous update policy (paper §3.5).
@@ -80,10 +81,6 @@ struct ConcurrentConfig {
   /// Minimum time between global rebalances of the same gate in batch
   /// mode (paper §3.5; evaluation default 100 ms).
   int64_t t_delay_ms = 100;
-
-  /// Segment span above which a worker-parallel rebalance is used rather
-  /// than the master doing the spread alone (always a multiple of gates).
-  size_t parallel_rebalance_min_gates = 4;
 
   /// Rebalancer stall watchdog (ISSUE 7). When > 0, a background checker
   /// thread inside the rebalancer samples the master's monotone progress
@@ -95,14 +92,11 @@ struct ConcurrentConfig {
   /// by the CPMA_WATCHDOG_MS environment variable when set.
   int64_t watchdog_ms = 0;
 
-  /// Rebalancer-thread affinity (ISSUE 8). When non-empty, the master
-  /// thread and every rebalancer worker pin themselves to these logical
-  /// CPU ids at startup (worker i -> worker_cpus[i % size], master ->
-  /// worker_cpus[0]), via the topology-aware pinner in common/pin.h.
-  /// The sharded front end uses this to give each shard's background
-  /// work a home core so N shards' rebalancers don't migrate onto each
-  /// other. Empty (default) = unpinned, the pre-ISSUE-8 behaviour.
-  std::vector<int> worker_cpus;
+  /// Logical CPU id the rebalancer master pins itself to at startup
+  /// (via the topology-aware pinner in common/pin.h); -1 (default) leaves
+  /// it unpinned. ShardedPMA's pin_workers gives each shard's master a
+  /// home core this way.
+  int rebalancer_cpu = -1;
 
   /// Optimistic read path (ISSUE 4): how many seqlock windows a reader
   /// attempts per gate (failed validations, mutator-active snapshots and

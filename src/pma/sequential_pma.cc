@@ -32,13 +32,13 @@ void SequentialPMA::Insert(Key key, Value value) {
     seg[pos].value = value;  // upsert
     return;
   }
-  int attempts = 0;
-  while (card == storage_->segment_capacity()) {
-    CPMA_CHECK_MSG(++attempts <= 4, "rebalance failed to free a slot");
+  if (card == storage_->segment_capacity()) {
     RebalanceForInsert(s);
     s = storage_->RouteSegment(key);
     seg = storage_->segment(s);
     card = storage_->card(s);
+    CPMA_CHECK_MSG(card < storage_->segment_capacity(),
+                   "rebalance left the key's segment full");
     pos = hotpath::SegmentLowerBoundForUpdate(seg, card, key);
   }
   std::memmove(seg + pos + 1, seg + pos, (card - pos) * sizeof(Item));
@@ -144,13 +144,14 @@ void SequentialPMA::RebalanceForInsert(size_t seg) {
     for (size_t s = begin; s < end; ++s) m += storage_->card(s);
     const size_t cap = (end - begin) * B;
     const double delta = static_cast<double>(m) / static_cast<double>(cap);
-    // Besides the density threshold, require one gap per segment so the
-    // spread can leave room in whichever segment the key lands in.
+    // Besides the density threshold, require one gap per segment: then
+    // every target of the spread leaves a free slot, whichever segment
+    // the key lands in.
     if (delta <= bounds.Tau(level) && m + (end - begin) <= cap) {
       ++num_rebalances_;
-      WindowPlan plan = PlanSpread(*storage_, begin, end, config_.adaptive,
-                                   /*trigger_seg=*/seg);
-      CopyPartitionToBuffer(storage_.get(), plan, begin, end);
+      WindowPlan plan =
+          PlanMergedSpread(*storage_, begin, end, m, config_.adaptive);
+      MergedCopyToBuffer(storage_.get(), plan, /*ops=*/{});
       FinishSpread(storage_.get(), plan);
       return;
     }
@@ -177,9 +178,9 @@ void SequentialPMA::RebalanceForDelete(size_t seg) {
     // tail case where a suffix of empty segments is acceptable).
     if (enough || level == root) {
       ++num_rebalances_;
-      WindowPlan plan = PlanSpread(*storage_, begin, end, config_.adaptive,
-                                   SIZE_MAX);
-      CopyPartitionToBuffer(storage_.get(), plan, begin, end);
+      WindowPlan plan =
+          PlanMergedSpread(*storage_, begin, end, m, config_.adaptive);
+      MergedCopyToBuffer(storage_.get(), plan, /*ops=*/{});
       FinishSpread(storage_.get(), plan);
       return;
     }

@@ -54,8 +54,9 @@ class SequentialPMA : public OrderedMap {
   std::string DebugDumpCalibratorTree() const;
 
  private:
-  /// Rebalance so that segment `seg` gains at least one free slot; may
-  /// resize. Postcondition: the segment routing `key` has room.
+  /// Spread the smallest calibrator window around the full segment `seg`
+  /// that leaves every segment of it a free slot, or grow. Postcondition:
+  /// a key that routed to `seg` routes to a segment with room.
   void RebalanceForInsert(size_t seg);
 
   /// Rebalance after a deletion left `seg` empty (or, with strict lower

@@ -1,7 +1,6 @@
 #include "pma/spread.h"
 
 #include <algorithm>
-#include <cstring>
 #include <numeric>
 
 #include "common/hotpath/copy.h"
@@ -85,9 +84,9 @@ std::vector<uint32_t> PlanTargets(const Storage& st, size_t seg_begin,
   // ceiling B-1 keeps >= 1 element everywhere (a fully-gapped segment
   // would break routing); the floor of 1 gap applies whenever the window
   // is sparse enough (m <= n*(B-1)) and guarantees every segment ends
-  // with a free slot — after the spread the next op may route to *any*
-  // window segment, so a full segment anywhere would make the caller's
-  // retry loop spin. The even split above stays inside the same band.
+  // with a free slot — after the spread the pending insertion may route
+  // to *any* window segment, and the caller inserts it without a second
+  // spread. The even split above stays inside the same band.
   const uint64_t gaps = n * uint64_t{B} - m;
   const uint32_t gap_floor = (m <= n * size_t{B - 1}) ? 1 : 0;
   std::vector<uint32_t> gap = AllocateGaps(
@@ -95,86 +94,6 @@ std::vector<uint32_t> PlanTargets(const Storage& st, size_t seg_begin,
   for (size_t j = 0; j < n; ++j) target[j] = B - gap_floor - gap[j];
   return target;
 }
-
-}  // namespace
-
-WindowPlan PlanSpread(const Storage& st, size_t seg_begin, size_t seg_end,
-                      bool adaptive, size_t trigger_seg) {
-  // A plain spread is a merged spread with no ops.
-  size_t total = 0;
-  for (size_t s = seg_begin; s < seg_end; ++s) total += st.card(s);
-  WindowPlan plan = PlanMergedSpread(st, seg_begin, seg_end, total, adaptive);
-
-  // Guarantee room in the trigger segment for the pending insertion
-  // (only a window denser than n*(B-1) can leave it full).
-  const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
-  if (trigger_seg != SIZE_MAX) {
-    CPMA_CHECK(trigger_seg >= seg_begin && trigger_seg < seg_end);
-    const size_t t = trigger_seg - seg_begin;
-    if (plan.target_card[t] >= B) {
-      // Move one element to the emptiest segment.
-      size_t k = static_cast<size_t>(
-          std::min_element(plan.target_card.begin(), plan.target_card.end()) -
-          plan.target_card.begin());
-      CPMA_CHECK_MSG(plan.target_card[k] < B, "window has no free slot");
-      --plan.target_card[t];
-      ++plan.target_card[k];
-    }
-  }
-  return plan;
-}
-
-void CopyPartitionToBuffer(Storage* st, const WindowPlan& plan,
-                           size_t out_begin, size_t out_end) {
-  CPMA_CHECK(out_begin >= plan.seg_begin && out_end <= plan.seg_end);
-  if (out_begin >= out_end) return;
-  const size_t n0 = plan.seg_begin;
-  // Streaming verdict for the whole window (not this partition): all
-  // partitions of one spread should take the same store path.
-  const bool stream = hotpath::StreamCopyPreferred(
-      (plan.seg_end - plan.seg_begin) * st->segment_bytes());
-
-  // Rank of the first element this partition outputs.
-  uint64_t rank = 0;
-  for (size_t s = plan.seg_begin; s < out_begin; ++s) {
-    rank += plan.target_card[s - n0];
-  }
-  // Locate that rank in the input layout.
-  size_t in_seg = plan.seg_begin;
-  uint64_t skip = rank;
-  while (in_seg < plan.seg_end && skip >= plan.input_card[in_seg - n0]) {
-    skip -= plan.input_card[in_seg - n0];
-    ++in_seg;
-  }
-  size_t in_pos = static_cast<size_t>(skip);
-
-  for (size_t s = out_begin; s < out_end; ++s) {
-    Item* out = st->buffer_segment(s);
-    const uint32_t want = plan.target_card[s - n0];
-    uint32_t got = 0;
-    while (got < want) {
-      CPMA_CHECK(in_seg < plan.seg_end);
-      const uint32_t avail = plan.input_card[in_seg - n0];
-      if (in_pos >= avail) {
-        ++in_seg;
-        in_pos = 0;
-        continue;
-      }
-      const uint32_t take = std::min<uint32_t>(
-          want - got, avail - static_cast<uint32_t>(in_pos));
-      hotpath::CopyItems(out + got, st->segment(in_seg) + in_pos, take,
-                         stream);
-      got += take;
-      in_pos += take;
-    }
-  }
-  // One publish barrier per partition: runs inside the worker task, so
-  // the streamed stores are drained before the WaitGroup releases the
-  // swap phase (or before the single-threaded caller publishes).
-  hotpath::StreamCopyFlush(stream);
-}
-
-namespace {
 
 std::vector<uint32_t> SnapshotCards(const Storage& st, size_t seg_begin,
                                     size_t seg_end) {
@@ -307,8 +226,8 @@ void SpreadSortedInto(const Item* items, size_t n, Storage* fresh) {
   });
 }
 
-void FinishSpread(Storage* st, const WindowPlan& plan, bool swap) {
-  if (swap) st->SwapWindow(plan.seg_begin, plan.seg_end);
+void FinishSpread(Storage* st, const WindowPlan& plan) {
+  st->SwapWindow(plan.seg_begin, plan.seg_end);
   const size_t n0 = plan.seg_begin;
   for (size_t s = plan.seg_begin; s < plan.seg_end; ++s) {
     st->set_card(s, plan.target_card[s - n0]);

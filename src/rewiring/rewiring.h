@@ -3,7 +3,7 @@
 // A RewiredRegion is a contiguous virtual address range whose pages are
 // individually backed by pages of an in-memory file (memfd). A second
 // virtual range — the buffer — is backed by spare pages of the same file.
-// Rebalance workers copy elements into the buffer once, then SwapPages()
+// A rebalance copies elements into the buffer once, then SwapPages()
 // exchanges the *mappings*, so the copied data appears in the array
 // without a second copy, and the array's old physical pages become the
 // next buffer (exactly the protocol in the paper).
@@ -138,12 +138,13 @@ class RewiredRegion {
   size_t page_size_ = 4096;
   int fd_ = -1;  // memfd; -1 => fallback mode
 
-  // Physical (file) page index backing each virtual page. Parallel
-  // rebalance workers swap disjoint ranges, so the tables need no lock.
+  // Physical (file) page index backing each virtual page. Concurrent
+  // swaps cover disjoint ranges (local spreads and the rebalancer master
+  // hold disjoint gates), so the tables need no lock.
   std::vector<size_t> region_backing_;
   std::vector<size_t> buffer_backing_;
 
-  // Atomic: parallel rebalance workers swap disjoint partitions.
+  // Atomic: swaps of disjoint ranges run concurrently.
   std::atomic<uint64_t> num_remaps_{0};
   std::atomic<uint64_t> num_fallback_copies_{0};
   std::atomic<uint64_t> num_remap_failures_{0};

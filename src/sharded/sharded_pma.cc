@@ -99,12 +99,9 @@ ShardedPMA::ShardedPMA(const ShardedConfig& config)
   for (size_t i = 0; i < num_shards; ++i) {
     ConcurrentConfig sc = cfg_.shard;
     if (cfg_.pin_workers) {
-      // One home core per shard (pin-order slot i): the shard's master
-      // and workers all share it, so N shards' background machinery
-      // spreads over N cores instead of migrating onto each other.
-      const int cpu = PinCpuForSlot(static_cast<unsigned>(i));
-      sc.worker_cpus = cpu >= 0 ? std::vector<int>{cpu}
-                                : std::vector<int>{};
+      // One home core per shard (pin-order slot i), so N shards' masters
+      // spread over N cores instead of migrating onto each other.
+      sc.rebalancer_cpu = PinCpuForSlot(static_cast<unsigned>(i));
     }
     shards_.push_back(std::make_unique<ConcurrentPMA>(sc));
     // Capture background errors (fired from the shard's rebalancer

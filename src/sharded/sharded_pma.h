@@ -39,8 +39,8 @@
 //             coalesce_ops = 0 (default) bypasses staging entirely —
 //             ops route straight to the shard, read-your-writes intact.
 //
-//   affinity  With pin_workers, shard i's rebalancer master and workers
-//             pin to the i-th slot of the topology-aware pin order
+//   affinity  With pin_workers, shard i's rebalancer master pins to
+//             the i-th slot of the topology-aware pin order
 //             (common/pin.h): each shard's background machinery gets a
 //             home physical core instead of N masters migrating onto
 //             each other.
@@ -111,8 +111,8 @@ class ShardedSnapshot {
 };
 
 struct ShardedConfig {
-  /// Per-shard ConcurrentPMA configuration. worker_cpus is overwritten
-  /// per shard when pin_workers is set.
+  /// Per-shard ConcurrentPMA configuration. rebalancer_cpu is
+  /// overwritten per shard when pin_workers is set.
   ConcurrentConfig shard;
 
   /// Number of shards (>= 1; power of two required for kHash).
@@ -141,8 +141,8 @@ struct ShardedConfig {
   /// CPMA_COALESCE_AGE_MS when set.
   int64_t coalesce_age_ms = 2;
 
-  /// Pin shard i's rebalancer master + workers to pin-order slot i
-  /// (one home physical core per shard while shards <= cores).
+  /// Pin shard i's rebalancer master to pin-order slot i (one home
+  /// physical core per shard while shards <= cores).
   bool pin_workers = false;
 };
 

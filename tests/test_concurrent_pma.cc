@@ -3,9 +3,12 @@
 // with invariants validated at quiesce points. Resize storms are forced
 // with tiny segments.
 
+#include <dirent.h>
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <set>
@@ -16,6 +19,7 @@
 #include "common/zipf.h"
 #include "concurrent/concurrent_pma.h"
 #include "concurrent/rebalancer.h"
+#include "sharded/sharded_pma.h"
 
 namespace cpma {
 namespace {
@@ -27,7 +31,6 @@ ConcurrentConfig SmallConfig(AsyncMode mode, size_t seg_cap = 16,
   ConcurrentConfig cfg;
   cfg.pma.segment_capacity = seg_cap;
   cfg.segments_per_gate = 4;
-  cfg.rebalancer_workers = 2;
   cfg.async_mode = mode;
   cfg.t_delay_ms = t_delay;
   return cfg;
@@ -72,6 +75,41 @@ TEST(ConcurrentPma, EmptyStructureBehaves) {
   EXPECT_EQ(n, 0);
   std::string err;
   EXPECT_TRUE(pma.CheckInvariants(&err)) << err;
+}
+
+// Threads of this process (entries of /proc/self/task), or -1 when
+// the directory cannot be read.
+int TaskCount() {
+  DIR* dir = opendir("/proc/self/task");
+  if (dir == nullptr) return -1;
+  int n = 0;
+  while (const dirent* e = readdir(dir)) {
+    if (e->d_name[0] != '.') ++n;
+  }
+  closedir(dir);
+  return n;
+}
+
+TEST(ConcurrentPma, StartsNoIdleRebalancerThreads) {
+  // The rebalancer master merges every window alone, so a PMA runs two
+  // background threads: the master and the EBR collector.
+  if (TaskCount() < 0) GTEST_SKIP() << "/proc/self/task is not readable";
+  if (std::getenv("CPMA_WATCHDOG_MS") != nullptr) {
+    GTEST_SKIP() << "CPMA_WATCHDOG_MS may start the watchdog thread";
+  }
+  const int base = TaskCount();
+  {
+    ConcurrentPMA pma;  // default config: the watchdog is off
+    EXPECT_EQ(TaskCount() - base, 2);
+  }
+  // A joined thread can stay listed for a moment after join() returns.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (TaskCount() > base && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ShardedPMA sharded;  // default fleet: 4 shards, no coalescing ager
+  EXPECT_EQ(TaskCount() - base, 2 * static_cast<int>(sharded.num_shards()));
 }
 
 TEST(ConcurrentPma, NameReflectsMode) {
@@ -429,7 +467,6 @@ TEST(ConcurrentPmaStats, RebalancesAndBatchesAreCounted) {
 uint64_t GlobalRebalancesForAppends(bool adaptive) {
   ConcurrentConfig cfg;  // paper geometry: B = 128, 8 segments per gate
   cfg.async_mode = AsyncMode::kSync;
-  cfg.rebalancer_workers = 2;
   cfg.pma.adaptive = adaptive;
   ConcurrentPMA pma(cfg);
   for (Key k = 2; k <= 400000; k += 2) pma.Insert(k, k);

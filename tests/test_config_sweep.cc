@@ -1,9 +1,8 @@
 // Parameterised configuration-space sweep of the concurrent PMA:
-// segment capacity × segments-per-gate × index fanout × worker count ×
-// async mode, each validated against a std::map oracle and the
-// structural invariants. This guards the places where configuration
-// interacts with the protocol (gate alignment, window levels, parallel
-// partitioning thresholds).
+// segment capacity × segments-per-gate × index fanout × async mode, each
+// validated against a std::map oracle and the structural invariants.
+// This guards the places where configuration interacts with the
+// protocol (gate alignment, window levels).
 
 #include <gtest/gtest.h>
 
@@ -22,9 +21,7 @@ struct SweepParam {
   size_t segment_capacity;
   size_t segments_per_gate;
   size_t index_fanout;
-  size_t workers;
   AsyncMode mode;
-  size_t parallel_min_gates;
 };
 
 class ConfigSweep : public ::testing::TestWithParam<SweepParam> {
@@ -35,10 +32,8 @@ class ConfigSweep : public ::testing::TestWithParam<SweepParam> {
     cfg.pma.segment_capacity = p.segment_capacity;
     cfg.segments_per_gate = p.segments_per_gate;
     cfg.index_fanout = p.index_fanout;
-    cfg.rebalancer_workers = p.workers;
     cfg.async_mode = p.mode;
     cfg.t_delay_ms = 3;
-    cfg.parallel_rebalance_min_gates = p.parallel_min_gates;
     return cfg;
   }
 };
@@ -98,30 +93,28 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, ConfigSweep,
     ::testing::Values(
         // Tiny everything: maximal structural churn.
-        SweepParam{8, 2, 2, 0, AsyncMode::kSync, 2},
-        SweepParam{8, 2, 2, 1, AsyncMode::kOneByOne, 2},
-        SweepParam{8, 4, 4, 2, AsyncMode::kBatch, 2},
+        SweepParam{8, 2, 2, AsyncMode::kSync},
+        SweepParam{8, 2, 2, AsyncMode::kOneByOne},
+        SweepParam{8, 4, 4, AsyncMode::kBatch},
         // Wide gates vs narrow gates.
-        SweepParam{16, 16, 8, 2, AsyncMode::kBatch, 2},
-        SweepParam{16, 2, 8, 2, AsyncMode::kOneByOne, 2},
+        SweepParam{16, 16, 8, AsyncMode::kBatch},
+        SweepParam{16, 2, 8, AsyncMode::kOneByOne},
         // Large segments, paper-ish gate.
-        SweepParam{256, 8, 16, 4, AsyncMode::kBatch, 2},
-        // Parallel rebalance forced on even for small windows.
-        SweepParam{8, 4, 16, 4, AsyncMode::kOneByOne, 1},
-        // No workers at all: master does everything inline.
-        SweepParam{32, 8, 16, 0, AsyncMode::kBatch, 4}),
+        SweepParam{256, 8, 16, AsyncMode::kBatch},
+        // Small segments, default index fanout.
+        SweepParam{8, 4, 16, AsyncMode::kOneByOne},
+        // Mid-size segments, paper gate.
+        SweepParam{32, 8, 16, AsyncMode::kBatch}),
     [](const ::testing::TestParamInfo<SweepParam>& info) {
       const auto& p = info.param;
       std::string name = "B" + std::to_string(p.segment_capacity) + "_g" +
                          std::to_string(p.segments_per_gate) + "_f" +
-                         std::to_string(p.index_fanout) + "_w" +
-                         std::to_string(p.workers);
+                         std::to_string(p.index_fanout);
       switch (p.mode) {
         case AsyncMode::kSync: name += "_sync"; break;
         case AsyncMode::kOneByOne: name += "_1by1"; break;
         case AsyncMode::kBatch: name += "_batch"; break;
       }
-      name += "_p" + std::to_string(p.parallel_min_gates);
       return name;
     });
 

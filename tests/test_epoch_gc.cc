@@ -213,7 +213,6 @@ TEST(EpochGCCore, ParkedScanUnderResizeChurnDrainsAfterRelease) {
   ConcurrentConfig cfg;
   cfg.pma.segment_capacity = 16;
   cfg.segments_per_gate = 4;
-  cfg.rebalancer_workers = 2;
   ConcurrentPMA pma(cfg);
   for (Key k = 0; k < 512; ++k) pma.Insert(k * 2, k);
   pma.Flush();

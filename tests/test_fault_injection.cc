@@ -249,7 +249,6 @@ ConcurrentConfig SmallConfig(ConcurrentConfig::AsyncMode mode) {
   ConcurrentConfig cfg;
   cfg.pma.segment_capacity = 32;
   cfg.segments_per_gate = 4;
-  cfg.rebalancer_workers = 2;
   cfg.async_mode = mode;
   cfg.t_delay_ms = 1;
   return cfg;
@@ -324,42 +323,42 @@ TEST_P(ResizeExhaustionTest, RequeuesOpsAndRecoversExactState) {
   }
 }
 
-// Flush() during a lasting allocation failure: Drain runs deferred
-// batches at once, but a resize-failure retry keeps its backoff (10 ms
+// A caller blocked by a lasting allocation failure: a sync or 1by1
+// Insert whose op a failed resize requeued (it pops the op again and
+// re-requests the window), or a Flush() (Drain runs deferred batches at
+// once). Either way a resize-failure retry keeps its backoff (10 ms
 // doubling, capped at 1 s), so the failed resizes in 500 ms stay a
 // handful (10 + 20 + 40 + 80 + 160 ms of backoff fit 5-6 of them) instead
-// of one per ladder pass. Once allocation recovers, the blocked Flush()
+// of one per ladder pass. Once allocation recovers, the blocked caller
 // returns with every op applied.
-TEST_P(ResizeExhaustionTest, BlockedFlushKeepsRetryBackoff) {
-  if (GetParam().mode != ConcurrentConfig::AsyncMode::kBatch) {
-    GTEST_SKIP() << "a sync or 1by1 Insert re-drives its own requeued op, "
-                    "so it blocks before any Flush()";
-  }
+TEST_P(ResizeExhaustionTest, BlockedCallerKeepsRetryBackoff) {
   ConcurrentPMA pma(SmallConfig(GetParam().mode));
   std::atomic<int> errors{0};
   pma.SetErrorCallback([&](const Status&) { errors.fetch_add(1); });
   ASSERT_TRUE(failpoint::Set("storage.create", "always"));
   constexpr Key kKeys = 4000;
-  for (Key k = 0; k < kKeys; ++k) pma.Insert(k, k + 3);
-  std::atomic<bool> flushed{false};
-  std::thread flusher([&] {
+  std::atomic<bool> done{false};
+  std::thread caller([&] {
+    for (Key k = 0; k < kKeys; ++k) pma.Insert(k, k + 3);
     pma.Flush();
-    flushed.store(true);
+    done.store(true);
   });
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(10);
   while (errors.load() == 0 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_GE(errors.load(), 1) << "no resize failed under storage.create";
   const int before = errors.load();
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   const int during = errors.load() - before;
-  EXPECT_FALSE(flushed.load()) << "Flush() returned with storage failing";
-  EXPECT_LE(during, 20) << "resize retries ran without their backoff";
+  const bool returned_while_failing = done.load();
   failpoint::ClearAll();
-  flusher.join();  // returns within one backoff step (<= 1 s)
-  EXPECT_TRUE(flushed.load());
+  caller.join();  // returns within one backoff step (<= 1 s)
+  ASSERT_GE(before, 1) << "no resize failed under storage.create";
+  EXPECT_FALSE(returned_while_failing)
+      << "caller returned with storage failing";
+  EXPECT_LE(during, 20) << "resize retries ran without their backoff";
+  EXPECT_TRUE(done.load());
   std::string err;
   ASSERT_TRUE(pma.CheckInvariants(&err)) << err;
   EXPECT_EQ(pma.Size(), static_cast<size_t>(kKeys));

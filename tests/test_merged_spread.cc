@@ -243,9 +243,11 @@ TEST(MergedCopy, AdaptivePlanFollowsInsertionPredictor) {
 }
 
 TEST(MergedCopy, AdaptivePlanStaysInsideTheBand) {
-  // Any predictor state and any merged total: targets sum to the total,
-  // keep >= 1 element per segment, and leave every segment a free slot
-  // whenever the window can afford one (m <= n*(B-1)).
+  // Any predictor state and any merged total, adaptive or even split:
+  // targets sum to the total, keep >= 1 element per segment, and leave
+  // every segment a free slot whenever the window can afford one
+  // (m <= n*(B-1)). Every caller requires that much room, so one spread
+  // always makes room for the insertion that triggered it.
   Random rng(19);
   for (int round = 0; round < 300; ++round) {
     const uint32_t B = 8u << rng.NextBounded(3);
@@ -260,14 +262,17 @@ TEST(MergedCopy, AdaptivePlanStaysInsideTheBand) {
       for (uint64_t i = 0; i < bumps; ++i) st.bump_insert_count(s);
     }
     const size_t m = n + rng.NextBounded(n * (B - 1) + 1);  // [n, n*B]
-    WindowPlan plan = PlanMergedSpread(st, 0, n, m, /*adaptive=*/true);
-    size_t sum = 0;
-    for (uint32_t c : plan.target_card) {
-      ASSERT_GE(c, 1u) << "round " << round;
-      ASSERT_LE(c, m <= n * (B - 1) ? B - 1 : B) << "round " << round;
-      sum += c;
+    for (const bool adaptive : {true, false}) {
+      WindowPlan plan = PlanMergedSpread(st, 0, n, m, adaptive);
+      size_t sum = 0;
+      for (uint32_t c : plan.target_card) {
+        ASSERT_GE(c, 1u) << "round " << round << " adaptive " << adaptive;
+        ASSERT_LE(c, m <= n * (B - 1) ? B - 1 : B)
+            << "round " << round << " adaptive " << adaptive;
+        sum += c;
+      }
+      ASSERT_EQ(sum, m) << "round " << round << " adaptive " << adaptive;
     }
-    ASSERT_EQ(sum, m) << "round " << round;
   }
 }
 

@@ -57,7 +57,6 @@ ConcurrentConfig SmallGateConfig(ConcurrentConfig::AsyncMode mode) {
   ConcurrentConfig cfg;
   cfg.pma.segment_capacity = 32;  // small segments: frequent rebalances
   cfg.segments_per_gate = 4;
-  cfg.rebalancer_workers = 2;
   cfg.async_mode = mode;
   cfg.t_delay_ms = 5;
   return cfg;

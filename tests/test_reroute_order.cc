@@ -41,7 +41,6 @@ ConcurrentConfig TinyConfig(ConcurrentConfig::AsyncMode mode) {
   cfg.pma.segment_capacity = 4;
   cfg.pma.initial_num_segments = 4;
   cfg.segments_per_gate = 2;
-  cfg.rebalancer_workers = 1;
   cfg.async_mode = mode;
   cfg.t_delay_ms = 1;
   return cfg;

@@ -67,6 +67,14 @@ TEST(Density, WindowAlignment) {
 
 // ----------------------------------------------------------------- Spread
 
+// Every spread is a merged spread; with no pending ops its batch is
+// empty and the merged total is the window's live count.
+WindowPlan PlanPureSpread(const Storage& st, size_t b, size_t e,
+                          bool adaptive) {
+  const size_t total = CountMerged(st, b, e, /*ops=*/{}, nullptr, nullptr);
+  return PlanMergedSpread(st, b, e, total, adaptive);
+}
+
 TEST(Spread, TraditionalIsEven) {
   Storage st(4, 8, /*use_rewiring=*/true);
   // Fill segment 0 with 8 elements, segment 1 with 2.
@@ -77,46 +85,17 @@ TEST(Spread, TraditionalIsEven) {
   st.set_card(1, 2);
   st.RebuildRoutes(0, 4);
 
-  WindowPlan plan = PlanSpread(st, 0, 2, /*adaptive=*/false, SIZE_MAX);
+  WindowPlan plan = PlanPureSpread(st, 0, 2, /*adaptive=*/false);
   EXPECT_EQ(plan.total, 10u);
   EXPECT_EQ(plan.target_card[0], 5u);
   EXPECT_EQ(plan.target_card[1], 5u);
-  CopyPartitionToBuffer(&st, plan, 0, 2);
+  MergedCopyToBuffer(&st, plan, /*ops=*/{});
   FinishSpread(&st, plan);
   EXPECT_EQ(st.card(0), 5u);
   EXPECT_EQ(st.card(1), 5u);
   EXPECT_EQ(st.segment(0)[0].key, 1u);
   EXPECT_EQ(st.segment(1)[0].key, 6u);
   EXPECT_EQ(st.route(1), 6u);
-}
-
-TEST(Spread, PartitionedCopyEqualsWholeCopy) {
-  // Run the same plan as one partition and as two partitions and compare.
-  auto fill = [](Storage& st) {
-    uint64_t k = 1;
-    for (size_t s = 0; s < 4; ++s) {
-      uint32_t c = (s % 2 == 0) ? 8 : 1;
-      for (uint32_t i = 0; i < c; ++i) st.segment(s)[i] = {k++, 7};
-      st.set_card(s, c);
-    }
-    st.RebuildRoutes(0, 4);
-  };
-  Storage a(4, 8, true), b(4, 8, true);
-  fill(a);
-  fill(b);
-  WindowPlan pa = PlanSpread(a, 0, 4, false, SIZE_MAX);
-  WindowPlan pb = PlanSpread(b, 0, 4, false, SIZE_MAX);
-  CopyPartitionToBuffer(&a, pa, 0, 4);
-  FinishSpread(&a, pa);
-  CopyPartitionToBuffer(&b, pb, 0, 2);
-  CopyPartitionToBuffer(&b, pb, 2, 4);
-  FinishSpread(&b, pb);
-  for (size_t s = 0; s < 4; ++s) {
-    ASSERT_EQ(a.card(s), b.card(s));
-    for (uint32_t i = 0; i < a.card(s); ++i) {
-      ASSERT_EQ(a.segment(s)[i].key, b.segment(s)[i].key);
-    }
-  }
 }
 
 TEST(Spread, AdaptiveGivesHotSegmentMoreGaps) {
@@ -129,7 +108,7 @@ TEST(Spread, AdaptiveGivesHotSegmentMoreGaps) {
   st.RebuildRoutes(0, 4);
   // Segment 2 is hot.
   for (int i = 0; i < 100; ++i) st.bump_insert_count(2);
-  WindowPlan plan = PlanSpread(st, 0, 4, /*adaptive=*/true, SIZE_MAX);
+  WindowPlan plan = PlanPureSpread(st, 0, 4, /*adaptive=*/true);
   // The hot segment receives the most gaps => the fewest elements.
   for (size_t j = 0; j < 4; ++j) {
     if (j != 2) { EXPECT_LT(plan.target_card[2], plan.target_card[j]); }
@@ -142,26 +121,13 @@ TEST(Spread, AdaptiveGivesHotSegmentMoreGaps) {
   EXPECT_EQ(total, 24u);
 }
 
-TEST(Spread, TriggerSegmentAlwaysGetsRoom) {
-  Storage st(2, 8, true);
-  // 15 elements in 16 slots: one gap only.
-  uint64_t k = 1;
-  for (uint32_t i = 0; i < 8; ++i) st.segment(0)[i] = {k++, 0};
-  st.set_card(0, 8);
-  for (uint32_t i = 0; i < 7; ++i) st.segment(1)[i] = {k++, 0};
-  st.set_card(1, 7);
-  st.RebuildRoutes(0, 2);
-  WindowPlan plan = PlanSpread(st, 0, 2, false, /*trigger_seg=*/0);
-  EXPECT_LT(plan.target_card[0], 8u);
-}
-
 TEST(Spread, FewerElementsThanSegmentsLeftPacks) {
   Storage st(8, 8, true);
   st.segment(0)[0] = {5, 0};
   st.segment(0)[1] = {6, 0};
   st.set_card(0, 2);
   st.RebuildRoutes(0, 8);
-  WindowPlan plan = PlanSpread(st, 0, 8, false, SIZE_MAX);
+  WindowPlan plan = PlanPureSpread(st, 0, 8, false);
   EXPECT_EQ(plan.target_card[0], 1u);
   EXPECT_EQ(plan.target_card[1], 1u);
   for (size_t j = 2; j < 8; ++j) EXPECT_EQ(plan.target_card[j], 0u);

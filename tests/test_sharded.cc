@@ -31,11 +31,16 @@
 //    fleet's publish path down).
 //  - EnvKnobs: CPMA_SHARDS / CPMA_COALESCE_OPS / CPMA_COALESCE_AGE_MS
 //    override the config; garbage values are ignored with a warning.
+//  - Placement: pin_workers pins shard i's rebalancer master to
+//    pin-order slot i.
 
+#include <dirent.h>
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <optional>
 #include <set>
@@ -44,6 +49,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/pin.h"
 #include "common/random.h"
 #include "concurrent/concurrent_pma.h"
 #include "sharded/sharded_pma.h"
@@ -70,7 +76,6 @@ ConcurrentConfig TinyShard(ConcurrentConfig::AsyncMode mode) {
   cfg.pma.segment_capacity = 4;
   cfg.pma.initial_num_segments = 4;
   cfg.segments_per_gate = 2;
-  cfg.rebalancer_workers = 1;
   cfg.async_mode = mode;
   cfg.t_delay_ms = 1;
   return cfg;
@@ -609,6 +614,64 @@ TEST(ShardedEnvKnobs, OverrideConfigStrictly) {
     ShardedPMA pma(TinySharded(2, ShardedConfig::Partition::kRange));
     EXPECT_EQ(pma.num_shards(), 2u);
   }
+}
+
+// ------------------------------------------------------------ placement
+
+// Thread ids of this process (/proc/self/task).
+std::set<std::string> TaskIds() {
+  std::set<std::string> ids;
+  if (DIR* dir = opendir("/proc/self/task")) {
+    while (const dirent* e = readdir(dir)) {
+      if (e->d_name[0] != '.') ids.insert(e->d_name);
+    }
+    closedir(dir);
+  }
+  return ids;
+}
+
+// The Cpus_allowed_list of one thread, e.g. "0-3" or "2".
+std::string AllowedCpus(const std::string& tid) {
+  std::ifstream status("/proc/self/task/" + tid + "/status");
+  const std::string field = "Cpus_allowed_list:";
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind(field, 0) == 0) {
+      const size_t b = line.find_first_not_of(" \t", field.size());
+      return b == std::string::npos ? "" : line.substr(b);
+    }
+  }
+  return "";
+}
+
+TEST(Placement, PinWorkersPinsEachShardMaster) {
+  if (Topology().num_cpus < 2 || TaskIds().empty()) {
+    GTEST_SKIP() << "needs affinity control, two CPUs and /proc/self/task";
+  }
+  const std::set<std::string> before = TaskIds();
+  ShardedConfig cfg = TinySharded(2, ShardedConfig::Partition::kRange);
+  cfg.pin_workers = true;
+  ShardedPMA pma(cfg);
+  const std::multiset<std::string> want = {std::to_string(PinCpuForSlot(0)),
+                                           std::to_string(PinCpuForSlot(1))};
+  // Each master pins itself once it runs; the EBR collectors stay
+  // unpinned (their allowed list is the process's whole set).
+  std::multiset<std::string> pinned;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  do {
+    pinned.clear();
+    for (const std::string& tid : TaskIds()) {
+      if (before.count(tid) != 0) continue;
+      const std::string cpus = AllowedCpus(tid);
+      if (want.count(cpus) != 0) pinned.insert(cpus);
+    }
+    if (pinned == want) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  } while (std::chrono::steady_clock::now() < deadline);
+  EXPECT_EQ(pinned, want);
+  for (Key k = 0; k < 1000; ++k) pma.Insert(k, k);
+  pma.Flush();
+  EXPECT_EQ(pma.Size(), 1000u);
 }
 
 }  // namespace

@@ -54,7 +54,6 @@ ConcurrentConfig SmallConfig(size_t seg_cap = 16) {
   ConcurrentConfig cfg;
   cfg.pma.segment_capacity = seg_cap;
   cfg.segments_per_gate = 4;
-  cfg.rebalancer_workers = 2;
   return cfg;
 }
 

@@ -60,10 +60,8 @@ ConcurrentConfig SoakConfig(const SoakParam& p) {
   ConcurrentConfig cfg;
   cfg.pma.segment_capacity = 32;
   cfg.segments_per_gate = 4;
-  cfg.rebalancer_workers = 2;
   cfg.async_mode = p.mode;
   cfg.t_delay_ms = 2;
-  cfg.parallel_rebalance_min_gates = 2;
   return cfg;
 }
 
