@@ -7,8 +7,6 @@
 //  --what=segment  PMA segment capacity 128 -> 256: ~15% faster scans,
 //                  ~15% slower uniform updates, faster skewed updates
 //                  (fewer rebalances with larger segments).
-//  --what=rewire   extra ablation from DESIGN.md: rebalances published
-//                  by memory rewiring vs the two-copy default.
 //  --what=adaptive extra ablation: adaptive vs traditional rebalancing
 //                  under skewed insertions (sequential PMA counters),
 //                  and right-edge appends into a sync ConcurrentPMA
@@ -34,8 +32,7 @@ WorkloadConfig BaseConfig(size_t ops, uint64_t range, Dist dist) {
   return w;
 }
 
-// The paper's batch-mode PMA. The publish mechanism is the library
-// default; only the rewire arm overrides it.
+// The paper's batch-mode PMA.
 ConcurrentConfig PmaConfigFor(size_t segment_capacity) {
   ConcurrentConfig cfg;
   cfg.pma.segment_capacity = segment_capacity;
@@ -91,21 +88,6 @@ void SegmentAblation(size_t ops, uint64_t range, BenchJson* json) {
     for (size_t seg : {128u, 256u}) {
       ConcurrentPMA pma(PmaConfigFor(seg));
       Row("segment", seg == 128 ? "PMA(B=128)" : "PMA(B=256)", &pma,
-          BaseConfig(ops, range, d), json);
-    }
-  }
-}
-
-void RewireAblation(size_t ops, uint64_t range, BenchJson* json) {
-  std::printf("\n=== Ablation: memory rewiring vs copy rebalances ===\n");
-  std::printf("%-22s %-10s %14s %14s\n", "structure", "dist",
-              "updates[M/s]", "scans[Melt/s]");
-  for (Dist d : {Dist::kUniform, Dist::kZipf15}) {
-    for (bool rewire : {true, false}) {
-      ConcurrentConfig cfg = PmaConfigFor(128);
-      cfg.pma.use_rewiring = rewire;
-      ConcurrentPMA pma(cfg);
-      Row("rewire", rewire ? "PMA(rewired)" : "PMA(two-copy)", &pma,
           BaseConfig(ops, range, d), json);
     }
   }
@@ -188,7 +170,6 @@ int main(int argc, char** argv) {
   BenchJson json(flags, "ablation");
   if (what == "leaf" || what == "all") LeafAblation(ops, range, &json);
   if (what == "segment" || what == "all") SegmentAblation(ops, range, &json);
-  if (what == "rewire" || what == "all") RewireAblation(ops, range, &json);
   if (what == "adaptive" || what == "all") AdaptiveAblation(ops, range, &json);
   return json.Write() ? 0 : 1;
 }

@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the substrates: sequential PMA
-// operations, rewired vs copy-based spreads, static index lookups, gate
+// operations, a whole-array copy spread, static index lookups, gate
 // latch acquisition, epoch enter/exit and Zipf sampling. These back the
 // per-component claims in DESIGN.md.
 
@@ -21,7 +21,6 @@
 #include "concurrent/static_index.h"
 #include "pma/sequential_pma.h"
 #include "pma/spread.h"
-#include "rewiring/rewiring.h"
 
 namespace cpma {
 namespace {
@@ -115,22 +114,10 @@ void BM_SequentialPmaScan(benchmark::State& state) {
 }
 BENCHMARK(BM_SequentialPmaScan);
 
-void BM_RewiredSwap(benchmark::State& state) {
-  const size_t bytes = static_cast<size_t>(state.range(0));
-  auto region = RewiredRegion::Create(bytes, bytes);
-  for (auto _ : state) {
-    region->SwapPages(0, 0, bytes);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(bytes));
-  state.SetLabel(region->rewiring_enabled() ? "mmap-rewiring"
-                                            : "memcpy-fallback");
-}
-BENCHMARK(BM_RewiredSwap)->Range(1 << 14, 1 << 22);
-
+// One merged spread with no pending ops over a half-full 1,024-segment
+// array, published by copy (the only publish).
 void BM_SpreadRewiredVsCopy(benchmark::State& state) {
-  const bool rewire = state.range(0) != 0;
-  Storage st(1024, 128, rewire);
+  Storage st(1024, 128);
   // Fill half full.
   Key k = 1;
   for (size_t s = 0; s < 1024; ++s) {
@@ -144,11 +131,10 @@ void BM_SpreadRewiredVsCopy(benchmark::State& state) {
     MergedCopyToBuffer(&st, plan, no_ops);
     FinishSpread(&st, plan);
   }
-  state.SetLabel(rewire ? "rewired" : "copy");
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 64 *
                           1024);
 }
-BENCHMARK(BM_SpreadRewiredVsCopy)->Arg(1)->Arg(0);
+BENCHMARK(BM_SpreadRewiredVsCopy);
 
 void BM_StaticIndexLookup(benchmark::State& state) {
   const size_t gates = static_cast<size_t>(state.range(0));

@@ -36,7 +36,6 @@ struct Best {
   EpochGCStats ebr;     // reclamation counters of the best rep's PMA
   // Degradation counters of the best rep's PMA (the PMA is per-rep, so
   // they are captured alongside the throughput they would explain).
-  bool fallback_backend_active = false;
   uint64_t rebalance_retries = 0;
   uint64_t watchdog_trips = 0;
 };
@@ -94,10 +93,6 @@ void FillSkewed(Storage* st) {
   st->RebuildRoutes(0, st->num_segments());
 }
 
-// Storages follow the library's default publish (copy; rewiring is the
-// opt-in A/B arm measured by bench_ablation --what=rewire).
-constexpr bool kUseRewiring = PmaConfig{}.use_rewiring;
-
 size_t LiveCount(const Storage& st) {
   size_t m = 0;
   for (size_t s = 0; s < st.num_segments(); ++s) m += st.card(s);
@@ -106,7 +101,7 @@ size_t LiveCount(const Storage& st) {
 
 void BenchSpread(BenchJson* json, uint64_t segments, uint64_t reps,
                  bool skewed) {
-  Storage st(segments, 128, kUseRewiring);
+  Storage st(segments, 128);
   if (skewed) {
     FillSkewed(&st);
   } else {
@@ -128,7 +123,7 @@ void BenchSpread(BenchJson* json, uint64_t segments, uint64_t reps,
 
 void BenchMergedSpread(BenchJson* json, uint64_t segments, uint64_t batch,
                        uint64_t reps) {
-  Storage st(segments, 128, kUseRewiring);
+  Storage st(segments, 128);
   FillEven(&st, 64);  // keys 1..m
   const size_t m = LiveCount(st);
   // Batch: 50% new inserts (odd gaps above m), 25% upserts, 25% deletes.
@@ -162,12 +157,12 @@ void BenchMergedSpread(BenchJson* json, uint64_t segments, uint64_t batch,
 }
 
 void BenchResizeStream(BenchJson* json, uint64_t segments, uint64_t reps) {
-  Storage st(segments, 128, kUseRewiring);
+  Storage st(segments, 128);
   FillEven(&st, 77);
   const size_t m = LiveCount(st);
   const std::vector<BatchEntry> no_ops;
   const Best best = BestOf(reps, m, [&] {
-    Storage fresh(segments * 2, 128, kUseRewiring);
+    Storage fresh(segments * 2, 128);
     MergedStreamInto(st, no_ops, m, &fresh);
   });
   Report(json, "resize_stream", best, "el", m);
@@ -199,7 +194,6 @@ void BenchAsyncBatchInsert(BenchJson* json, uint64_t ops, uint64_t threads,
       best.mops = res.update_mops;
       best.seconds = res.seconds;
       best.ebr = pma.ebr_stats();
-      best.fallback_backend_active = pma.fallback_backend_active();
       best.rebalance_retries = pma.num_rebalance_retries();
       best.watchdog_trips = pma.num_watchdog_trips();
     }
@@ -217,8 +211,7 @@ void BenchAsyncBatchInsert(BenchJson* json, uint64_t ops, uint64_t threads,
   // Fault-tolerance observability (ISSUE 7, all VOLATILE): a fault-free
   // bench run reports zeros; a nonzero flags a degraded run so a perf
   // delta can be attributed before anyone chases a phantom regression.
-  rec.Bool("fallback_backend_active", best.fallback_backend_active)
-      .Int("failpoint_fires", failpoint::TotalFires())
+  rec.Int("failpoint_fires", failpoint::TotalFires())
       .Int("rebalance_retries", best.rebalance_retries)
       .Int("watchdog_trips", best.watchdog_trips);
 }

@@ -51,10 +51,9 @@ METRICS = {
 VOLATILE = {
     "git_sha", "dispatch", "seconds", "items_per_rep",
     # Fault-tolerance observability (ISSUE 7): degradation counters a
-    # healthy run reports as zeros/false — diagnostics for attributing a
-    # perf delta to a degraded run, never part of a workload's identity.
-    "fallback_backend_active", "failpoint_fires", "rebalance_retries",
-    "watchdog_trips",
+    # healthy run reports as zeros — diagnostics for attributing a perf
+    # delta to a degraded run, never part of a workload's identity.
+    "failpoint_fires", "rebalance_retries", "watchdog_trips",
     # Placement observability (ISSUE 8): what the topology-aware pinner
     # saw on the host that ran the bench — environment, not workload.
     "host_cpus", "host_cores", "smt", "pin_order",

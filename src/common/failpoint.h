@@ -4,7 +4,7 @@
 // allocations, spawn paths) that can be armed to report failure without
 // the underlying operation actually failing. Sites are evaluated with
 //
-//     if (CPMA_FAILPOINT("rewiring.memfd") || real_memfd_failed) { ... }
+//     if (CPMA_FAILPOINT("storage.create") || mem == MAP_FAILED) { ... }
 //
 // so the degraded path downstream of the site is exactly the one a real
 // failure would take. Policies per site:
@@ -23,10 +23,10 @@
 // process terminates immediately via _exit(kCrashExitCode) — no atexit
 // handlers, no stdio flush, no destructors, i.e. the closest userspace
 // approximation of pulling the plug at that instruction. This turns
-// every instrumented site (remap publication, region creation, each
-// persist-layer syscall) into a crash site for the fork-based
-// crash-recovery harness (ISSUE 9). '!' is used because ';' and ','
-// are both clause separators in this grammar.
+// every instrumented site (storage allocation, each persist-layer
+// syscall) into a crash site for the fork-based crash-recovery harness
+// (tests/test_crash_recovery.cc). '!' is used because ';' and ',' are
+// both clause separators in this grammar.
 //
 // Configuration comes from the CPMA_FAILPOINTS environment variable
 // ("site=spec;site=spec", parsed once at first evaluation; ',' also
@@ -37,8 +37,8 @@
 // Cost model: every site first checks a single relaxed atomic counter of
 // armed sites (one load + predicted-not-taken branch); the registry
 // lookup happens only while at least one site is armed. All instrumented
-// sites are slow paths (region creation, remap publication, rebalance
-// allocation, thread spawn, GC slot growth) — nothing per-element.
+// sites are slow paths (storage allocation, thread spawn, GC slot
+// growth, persist syscalls) — nothing per-element.
 //
 // The whole subsystem is compiled out when the build sets
 // -DCPMA_FAILPOINTS_ENABLED=0 (CMake option CPMA_ENABLE_FAILPOINTS=OFF):

@@ -1,5 +1,7 @@
 #include "concurrent/concurrent_pma.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <climits>
@@ -101,8 +103,7 @@ ConcurrentPMA::ConcurrentPMA(const ConcurrentConfig& config) : cfg_(config) {
                          2 * cfg_.segments_per_gate);
   while (!IsPowerOfTwo(segs)) ++segs;
   structure_.store(
-      BuildStructure(std::make_unique<Storage>(segs, cfg_.pma.segment_capacity,
-                                               cfg_.pma.use_rewiring))
+      BuildStructure(std::make_unique<Storage>(segs, cfg_.pma.segment_capacity))
           .release(),
       std::memory_order_release);
   rebalancer_ = std::make_unique<Rebalancer>(this);
@@ -146,7 +147,7 @@ void ConcurrentPMA::PublishStructure(Structure* old,
   // invalidation, refresh their epoch and restart on the new snapshot.
   for (Gate& gate : old->gates) gate.InvalidateAndRelease();
   // Byte-accounted retirement (§3.4): the snapshot's dominant footprint
-  // is its storage (live region + rebalance buffer), so a parked reader
+  // is its storage (live array + rebalance buffer), so a parked reader
   // pinning a few multi-MB snapshots trips the bytes watermark long
   // before the count watermark would notice.
   const size_t bytes = sizeof(Structure) +
@@ -187,8 +188,7 @@ Status ConcurrentPMA::BuildLoaded(const Item* items, size_t n,
   }
   Status st;
   std::unique_ptr<Storage> storage =
-      Storage::TryCreate(SegmentsForCount(n), cfg_.pma.segment_capacity,
-                         cfg_.pma.use_rewiring, &st);
+      Storage::TryCreate(SegmentsForCount(n), cfg_.pma.segment_capacity, &st);
   if (storage == nullptr) return st;
   try {
     SpreadSortedInto(items, n, storage.get());
@@ -895,40 +895,10 @@ void ConcurrentPMA::Scan(Key min, Key max, const ScanCallback& cb) const {
 // ------------------------------------------------- storage observability
 
 size_t ConcurrentPMA::storage_page_bytes() const {
-  EpochGuard guard(gc_);
-  return structure_.load(std::memory_order_acquire)->storage->page_bytes();
-}
-
-size_t ConcurrentPMA::storage_backing_page_bytes() const {
-  EpochGuard guard(gc_);
-  return structure_.load(std::memory_order_acquire)
-      ->storage->backing_page_bytes();
-}
-
-uint64_t ConcurrentPMA::storage_num_remaps() const {
-  EpochGuard guard(gc_);
-  return structure_.load(std::memory_order_acquire)->storage->num_remaps();
-}
-
-uint64_t ConcurrentPMA::storage_num_fallback_copies() const {
-  EpochGuard guard(gc_);
-  return structure_.load(std::memory_order_acquire)
-      ->storage->num_fallback_copies();
-}
-
-uint64_t ConcurrentPMA::storage_num_remap_failures() const {
-  EpochGuard guard(gc_);
-  return structure_.load(std::memory_order_acquire)
-      ->storage->num_remap_failures();
+  return static_cast<size_t>(sysconf(_SC_PAGESIZE));
 }
 
 // --------------------------------------------- fault tolerance (ISSUE 7)
-
-bool ConcurrentPMA::fallback_backend_active() const {
-  EpochGuard guard(gc_);
-  return structure_.load(std::memory_order_acquire)
-      ->storage->fallback_backend_active();
-}
 
 uint64_t ConcurrentPMA::num_watchdog_trips() const {
   // Out of line: Rebalancer is incomplete in the header.

@@ -46,8 +46,8 @@
 // key present for the whole scan is delivered exactly once. While the
 // same gate's version is unchanged the next run continues at the next
 // segment without a locate; otherwise it relocates from the resume key.
-// Epoch pinning keeps a rewired/retired storage alive across the
-// validation window, so torn reads are bounded but never wild.
+// Epoch pinning keeps a retired storage alive across the validation
+// window, so torn reads are bounded but never wild.
 // Memory-ordering argument: SeqVersion in common/latches.h.
 //
 // Updates may therefore complete asynchronously; Flush() waits until all
@@ -251,21 +251,15 @@ class ConcurrentPMA : public OrderedMap {
   /// soaks drive Collect() and the collector stepping hooks).
   EpochGC& epoch_gc() const { return gc_; }
 
-  // Storage observability (ROADMAP huge-page visibility): the page size
-  // and publish counters of the current snapshot, for bench JSON records.
+  /// The system page size, the mapping granularity of the storage.
   size_t storage_page_bytes() const;
-  size_t storage_backing_page_bytes() const;
-  uint64_t storage_num_remaps() const;
-  uint64_t storage_num_fallback_copies() const;
-  uint64_t storage_num_remap_failures() const;
 
-  // ------------------------------------------- fault tolerance (ISSUE 7)
+  /// Always 0: every rebalance publishes by copy (pma/storage.h), so
+  /// no page is ever remapped. Kept for bench records that report them.
+  uint64_t storage_num_remaps() const { return 0; }
+  uint64_t storage_num_fallback_copies() const { return 0; }
 
-  /// True when the current snapshot's storage runs degraded: anonymous
-  /// fallback backend (memfd/mmap denied or CPMA_FORCE_NO_REWIRE=1), or
-  /// a region that degraded after a remap publication failure. Copy
-  /// publishes under the default use_rewiring=false are not degraded.
-  bool fallback_backend_active() const;
+  // ----------------------------------------------------- fault tolerance
 
   /// Install a callback fired (from the rebalancer master thread) every
   /// time a background rebalance exhausts its degradation ladder — the

@@ -462,7 +462,6 @@ std::unique_ptr<Storage> Rebalancer::AllocStorageWithRetry(size_t new_segs,
                                                            size_t total,
                                                            Status* status) {
   const size_t B = pma_->cfg_.pma.segment_capacity;
-  const bool use_rewiring = pma_->cfg_.pma.use_rewiring;
   const size_t min_segs = 2 * pma_->cfg_.segments_per_gate;
   // Rung 1: retry at the target capacity. Between attempts, run an
   // epoch-GC pass — retired snapshots are the dominant heap consumers,
@@ -476,7 +475,7 @@ std::unique_ptr<Storage> Rebalancer::AllocStorageWithRetry(size_t new_segs,
       std::this_thread::sleep_for(
           std::chrono::milliseconds(int64_t{1} << (attempt - 1)));
     }
-    if (auto s = Storage::TryCreate(new_segs, B, use_rewiring, status)) {
+    if (auto s = Storage::TryCreate(new_segs, B, status)) {
       return s;
     }
   }
@@ -487,7 +486,7 @@ std::unique_ptr<Storage> Rebalancer::AllocStorageWithRetry(size_t new_segs,
   for (size_t segs = new_segs / 2; segs >= min_segs; segs /= 2) {
     if (total + segs > segs * B) break;
     pma_->stat_rebalance_retries_.fetch_add(1, std::memory_order_relaxed);
-    if (auto s = Storage::TryCreate(segs, B, use_rewiring, status)) {
+    if (auto s = Storage::TryCreate(segs, B, status)) {
       std::fprintf(stderr,
                    "[cpma] resize degraded: allocated %zu segments instead "
                    "of %zu (%s)\n",

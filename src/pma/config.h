@@ -45,15 +45,9 @@ struct PmaConfig {
   /// even split.
   bool adaptive = true;
 
-  /// Publish each rebalance by remapping the window's pages instead of
-  /// copying the buffer back (memory rewiring, paper §2; de Leo & Boncz,
-  /// ICDE 2019). Off by default: on 4 KiB pages one remap publish costs
-  /// 10-17x the copy it replaces (64 MiB region, 2 reader threads:
-  /// 12 us vs 1.1 us for a one-page window, 452 us vs 45 us for 64
-  /// pages, 4.66 ms vs 0.31 ms for 512), plus a page fault per page on
-  /// the next touch. Either way the region stays memfd-backed, and
-  /// snapshots (heap pre-images) do not depend on the publish. Kept as
-  /// the opt-in A/B arm.
+  /// Has no effect. The paper publishes each rebalance by remapping the
+  /// window's pages (memory rewiring, paper §2); here every rebalance
+  /// publishes by one copy (pma/storage.h gives the measured costs).
   bool use_rewiring = false;
 
   /// Initial number of segments (power of two, >= 2).

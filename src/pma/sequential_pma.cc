@@ -18,8 +18,7 @@ SequentialPMA::SequentialPMA(const PmaConfig& config) : config_(config) {
   CPMA_CHECK(IsPowerOfTwo(config_.initial_num_segments));
   CPMA_CHECK(config_.initial_num_segments >= 2);
   storage_ = std::make_unique<Storage>(config_.initial_num_segments,
-                                       config_.segment_capacity,
-                                       config_.use_rewiring);
+                                       config_.segment_capacity);
 }
 
 void SequentialPMA::Insert(Key key, Value value) {
@@ -191,8 +190,7 @@ void SequentialPMA::Resize(size_t new_num_segments) {
   CPMA_CHECK(IsPowerOfTwo(new_num_segments) && new_num_segments >= 2);
   ++num_resizes_;
   auto fresh = std::make_unique<Storage>(new_num_segments,
-                                         config_.segment_capacity,
-                                         config_.use_rewiring);
+                                         config_.segment_capacity);
   // Resizes always use the even split (the predictor is reset); with no
   // ops the merged stream is a run-at-a-time repack of the old array.
   MergedStreamInto(*storage_, /*ops=*/{}, count_, fresh.get());

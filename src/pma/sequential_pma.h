@@ -2,8 +2,8 @@
 // (De Leo & Boncz, ICDE'19 [9]) the paper's concurrent design extends:
 // fixed-capacity segments, implicit calibrator tree with interpolated
 // density thresholds, traditional + adaptive rebalancing, spreads
-// published by copy (or by memory rewiring, PmaConfig::use_rewiring),
-// and doubling/halving resizes.
+// published by copy (see pma/storage.h for why not by page remap), and
+// doubling/halving resizes.
 //
 // Not thread-safe; ConcurrentPMA (src/concurrent) adds the paper's
 // gates / static index / rebalancer layers on top of the same storage,

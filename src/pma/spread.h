@@ -12,9 +12,8 @@
 //      always makes room for the insertion that triggered it.
 //   2. MergedCopyToBuffer streams merge(window, batch), in key order,
 //      into the window's *buffer* pages; the live array is only read.
-//   3. FinishSpread publishes the buffer (Storage::SwapWindow: one copy
-//      by default, or page rewiring when opted in) and installs the new
-//      cardinalities and routing keys.
+//   3. FinishSpread publishes the buffer (Storage::SwapWindow, one
+//      copy) and installs the new cardinalities and routing keys.
 
 #pragma once
 

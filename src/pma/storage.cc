@@ -1,32 +1,40 @@
 #include "pma/storage.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <new>
+#include <string>
 
 #include "common/failpoint.h"
 
 namespace cpma {
 
 bool Storage::Init(size_t num_segments, size_t segment_capacity,
-                   bool use_rewiring, Status* status) {
+                   Status* status) {
   CPMA_CHECK(num_segments >= 1);
   CPMA_CHECK(segment_capacity >= 4);
   num_segments_ = num_segments;
   segment_capacity_ = segment_capacity;
-  if (CPMA_FAILPOINT("storage.create")) {
-    *status = Status::ResourceExhausted("injected storage.create failure");
+  const size_t bytes = MappedBytes();
+  const bool injected = CPMA_FAILPOINT("storage.create");
+  void* mem = injected ? MAP_FAILED
+                       : mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                              MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (mem == MAP_FAILED) {
+    *status = Status::ResourceExhausted(
+        std::string(injected ? "injected storage.create failure"
+                             : std::strerror(errno)) +
+        ": Storage mmap of " + std::to_string(bytes) + " bytes failed");
     return false;
   }
-  const size_t bytes = capacity() * sizeof(Item);
-  region_ = RewiredRegion::Create(bytes, bytes, /*want_huge_pages=*/true,
-                                  status);
-  if (region_ == nullptr) return false;
-  // With use_rewiring == false (the default), SwapWindow always takes
-  // the copy path; true opts into page-remap publishes.
-  force_copy_ = !use_rewiring;
-  items_ = reinterpret_cast<Item*>(region_->data());
-  buffer_ = reinterpret_cast<Item*>(region_->buffer());
+#if defined(MADV_HUGEPAGE)
+  madvise(mem, bytes, MADV_HUGEPAGE);  // best effort
+#endif
+  items_ = static_cast<Item*>(mem);
+  buffer_ = items_ + capacity();
   try {
     card_.assign(num_segments_, 0);
     route_.assign(num_segments_, kKeySentinel);
@@ -42,27 +50,29 @@ bool Storage::Init(size_t num_segments, size_t segment_capacity,
   return true;
 }
 
-Storage::Storage(size_t num_segments, size_t segment_capacity,
-                 bool use_rewiring) {
+Storage::Storage(size_t num_segments, size_t segment_capacity) {
   Status st;
-  if (!Init(num_segments, segment_capacity, use_rewiring, &st)) {
+  if (!Init(num_segments, segment_capacity, &st)) {
     CPMA_CHECK_MSG(false, st.ToString().c_str());
   }
 }
 
 std::unique_ptr<Storage> Storage::TryCreate(size_t num_segments,
                                             size_t segment_capacity,
-                                            bool use_rewiring,
                                             Status* status) {
   auto s = std::unique_ptr<Storage>(new (std::nothrow) Storage());
   if (s == nullptr) {
     *status = Status::ResourceExhausted("Storage object allocation failed");
     return nullptr;
   }
-  if (!s->Init(num_segments, segment_capacity, use_rewiring, status)) {
+  if (!s->Init(num_segments, segment_capacity, status)) {
     return nullptr;
   }
   return s;
+}
+
+Storage::~Storage() {
+  if (items_ != nullptr) munmap(items_, MappedBytes());
 }
 
 size_t Storage::RouteSegment(Key key) const {
@@ -83,23 +93,9 @@ void Storage::SwapWindow(size_t seg_begin, size_t seg_end) {
   CPMA_CHECK(seg_begin < seg_end && seg_end <= num_segments_);
   const size_t off = seg_begin * segment_bytes();
   const size_t len = (seg_end - seg_begin) * segment_bytes();
-#if !CPMA_TSAN
-  if (!force_copy_ && region_->CanSwap(off, off, len)) {
-    region_->SwapPages(off, off, len);
-    return;
-  }
-#endif
-  // Copy publish (use_rewiring=false, alignment forbids a remap, or a
-  // TSan build). The destination races with optimistic readers, so the
-  // copy is tagged (plain memcpy in production, per-word atomics under
-  // TSan — common/tagged.h). Under TSan the remap publish is disabled
-  // outright: the interceptor models mmap(MAP_FIXED) as a plain write
-  // to the whole range, and a page exchange cannot be expressed as
-  // atomics — readers racing a remap see either the old or the new
-  // page image, word-atomically either way, and validation discards
-  // the window; the instrumented build proves exactly that protocol on
-  // the copy mechanism (the remap mechanism itself stays covered by
-  // the unit/asan rewiring suites).
+  // The destination races with optimistic readers, so the copy is tagged
+  // (plain memcpy in production, per-word atomics under TSan —
+  // common/tagged.h); validation discards a torn window.
   TaggedCopyWords(reinterpret_cast<char*>(items_) + off,
                   reinterpret_cast<char*>(buffer_) + off, len);
 }

@@ -449,7 +449,6 @@ ShardedPMA::Stats ShardedPMA::GetStats() const {
     st.optimistic_gate_reads += s->num_optimistic_gate_reads();
     st.rebalance_retries += s->num_rebalance_retries();
     st.watchdog_trips += s->num_watchdog_trips();
-    if (s->fallback_backend_active()) ++st.degraded_shards;
     st.snapshots_open += s->snapshots_open();
     st.snapshots_taken += s->num_snapshots_taken();
     st.cow_retained_bytes += s->cow_pages_retained_bytes();

@@ -77,10 +77,9 @@ TEST(ConcurrentPma, EmptyStructureBehaves) {
   EXPECT_TRUE(pma.CheckInvariants(&err)) << err;
 }
 
-// Threads of this process (entries of /proc/self/task), or -1 when
-// the directory cannot be read.
-int TaskCount() {
-  DIR* dir = opendir("/proc/self/task");
+// Entries of a /proc directory, or -1 when it cannot be read.
+int ProcEntries(const char* path) {
+  DIR* dir = opendir(path);
   if (dir == nullptr) return -1;
   int n = 0;
   while (const dirent* e = readdir(dir)) {
@@ -89,6 +88,13 @@ int TaskCount() {
   closedir(dir);
   return n;
 }
+
+// Threads of this process, or -1.
+int TaskCount() { return ProcEntries("/proc/self/task"); }
+
+// Open file descriptors of this process, or -1. The listing's own
+// directory descriptor is counted every time, so differences are exact.
+int FdCount() { return ProcEntries("/proc/self/fd"); }
 
 TEST(ConcurrentPma, StartsNoIdleRebalancerThreads) {
   // The rebalancer master merges every window alone, so a PMA runs two
@@ -110,6 +116,22 @@ TEST(ConcurrentPma, StartsNoIdleRebalancerThreads) {
   }
   ShardedPMA sharded;  // default fleet: 4 shards, no coalescing ager
   EXPECT_EQ(TaskCount() - base, 2 * static_cast<int>(sharded.num_shards()));
+}
+
+TEST(ConcurrentPma, HoldsNoFileDescriptors) {
+  // Storage is one anonymous mapping: no structure, live or retired,
+  // holds a file descriptor.
+  if (FdCount() < 0) GTEST_SKIP() << "/proc/self/fd is not readable";
+  const int base = FdCount();
+  ConcurrentPMA pma;
+  EXPECT_EQ(FdCount() - base, 0) << "after construction";
+  for (Key k = 1; k <= 10000; ++k) pma.Insert(k, k);
+  pma.Flush();
+  ASSERT_GT(pma.num_resizes(), 0u);
+  EXPECT_EQ(FdCount() - base, 0) << "after a resize";
+  ShardedPMA sharded;  // default fleet: 4 shards
+  EXPECT_EQ(FdCount() - base, 0) << "after a " << sharded.num_shards()
+                                 << "-shard fleet";
 }
 
 TEST(ConcurrentPma, NameReflectsMode) {

@@ -5,7 +5,7 @@
 // app_stamp = ops applied so far. One failpoint site is armed with a
 // `nth:M!crash` policy, so at a seed-chosen hit the child _exit()s
 // mid-protocol — mid-chunk-write, between fsync and rename, after the
-// CURRENT flip, mid-remap of a background rebalance — the closest
+// CURRENT flip, at a resize's storage allocation — the closest
 // userspace approximation of pulling the plug at that instruction.
 //
 // The parent waits, then plays the recovery path an operator would:
@@ -82,7 +82,6 @@ ConcurrentConfig StormConfig() {
   ConcurrentConfig cfg;
   cfg.pma.segment_capacity = 16;  // tiny: force rebalances + resizes
   cfg.segments_per_gate = 4;
-  cfg.pma.use_rewiring = true;  // MidRemapPublication needs remap publishes
   return cfg;
 }
 
@@ -251,13 +250,10 @@ TEST_F(CrashRecoveryTest, MidGcUnlink) {
   RunCase("persist.gc_unlink", true);
 }
 
-// Opportunistic sites inside the storage/rebalance layers: the crash
-// lands mid-rebalance (remap publication) or mid-region-creation rather
-// than inside the persist protocol. Surviving the whole storm without
-// the site firing is a valid outcome (e.g. a fallback-mode sandbox).
-TEST_F(CrashRecoveryTest, MidRemapPublication) {
-  RunCase("rewiring.remap", /*deterministic=*/false);
-}
+// Opportunistic site inside the storage layer: the crash lands at a
+// storage allocation (a resize) rather than inside the persist
+// protocol. Surviving the whole storm without the site firing is a
+// valid outcome.
 TEST_F(CrashRecoveryTest, MidRegionCreate) {
   RunCase("storage.create", false);
 }

@@ -2,9 +2,6 @@
 // a failpoint is driven through its injected-failure path and must
 // degrade — never abort, never lose data:
 //
-//   rewiring   create falls back to anonymous mappings; failed remap
-//              publications restore the old mappings, publish by copy
-//              and stick the region in copy mode
 //   storage    TryCreate surfaces ResourceExhausted instead of aborting
 //   threadpool spawn failures run the pool degraded (inline at worst)
 //   epoch_gc   slot-chunk allocation failure installs the emergency
@@ -21,7 +18,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <mutex>
 #include <set>
 #include <string>
@@ -33,7 +29,6 @@
 #include "common/thread_pool.h"
 #include "concurrent/concurrent_pma.h"
 #include "pma/storage.h"
-#include "rewiring/rewiring.h"
 
 namespace cpma {
 namespace {
@@ -49,125 +44,17 @@ class FaultInjectionTest : public ::testing::Test {
   void TearDown() override { failpoint::ClearAll(); }
 };
 
-// ------------------------------------------------------------- rewiring
-
-// Fill the buffer with `fill`, swap one page, and check it arrived.
-void SwapOnePageAndVerify(RewiredRegion* region, char fill) {
-  const size_t page = region->page_size();
-  std::memset(region->buffer(), fill, page);
-  std::memset(region->data(), '.', page);
-  region->SwapPages(0, 0, page);
-  for (size_t i = 0; i < page; ++i) {
-    ASSERT_EQ(region->data()[i], fill) << "byte " << i;
-  }
-}
-
-TEST_F(FaultInjectionTest, RegionCreateFallsBackOnMemfdFailure) {
-  ASSERT_TRUE(failpoint::Set("rewiring.memfd", "once"));
-  Status st;
-  auto region = RewiredRegion::Create(1 << 20, 1 << 20, false, &st);
-  ASSERT_NE(region, nullptr);
-  EXPECT_TRUE(st.ok());
-  EXPECT_FALSE(region->rewiring_enabled());
-  SwapOnePageAndVerify(region.get(), 'A');
-  EXPECT_GE(region->num_fallback_copies(), 1u);
-}
-
-TEST_F(FaultInjectionTest, RegionCreateFallsBackOnFtruncateFailure) {
-  ASSERT_TRUE(failpoint::Set("rewiring.ftruncate", "once"));
-  auto region = RewiredRegion::Create(1 << 20, 1 << 20, false);
-  ASSERT_NE(region, nullptr);
-  EXPECT_FALSE(region->rewiring_enabled());
-  SwapOnePageAndVerify(region.get(), 'B');
-}
-
-TEST_F(FaultInjectionTest, RegionCreateFallsBackOnMmapFailure) {
-  ASSERT_TRUE(failpoint::Set("rewiring.mmap", "once"));
-  auto region = RewiredRegion::Create(1 << 20, 1 << 20, false);
-  ASSERT_NE(region, nullptr);
-  EXPECT_FALSE(region->rewiring_enabled());
-  SwapOnePageAndVerify(region.get(), 'C');
-}
-
-TEST_F(FaultInjectionTest, RegionCreateFailsOnlyWhenLastRungFails) {
-  ASSERT_TRUE(failpoint::Set("rewiring.memfd", "always"));
-  ASSERT_TRUE(failpoint::Set("rewiring.fallback_alloc", "always"));
-  Status st;
-  auto region = RewiredRegion::Create(1 << 20, 1 << 20, false, &st);
-  EXPECT_EQ(region, nullptr);
-  EXPECT_EQ(st.code(), Status::Code::kResourceExhausted);
-  // Disarm the last rung: creation recovers (still no memfd).
-  failpoint::Clear("rewiring.fallback_alloc");
-  st = Status::OK();
-  region = RewiredRegion::Create(1 << 20, 1 << 20, false, &st);
-  ASSERT_NE(region, nullptr);
-  EXPECT_TRUE(st.ok());
-  EXPECT_FALSE(region->rewiring_enabled());
-}
-
-TEST_F(FaultInjectionTest, RemapPublicationFailureDegradesToCopy) {
-  auto region = RewiredRegion::Create(1 << 20, 1 << 20, false);
-  ASSERT_NE(region, nullptr);
-  if (!region->rewiring_enabled()) {
-    GTEST_SKIP() << "no memfd rewiring in this environment";
-  }
-  ASSERT_TRUE(failpoint::Set("rewiring.remap", "once"));
-  // The failed publication must still publish (by copy) and the region
-  // must permanently switch to copy mode.
-  SwapOnePageAndVerify(region.get(), 'D');
-  EXPECT_TRUE(region->degraded_to_copy());
-  EXPECT_FALSE(region->rewiring_enabled());
-  EXPECT_EQ(region->num_remap_failures(), 1u);
-  EXPECT_GE(region->num_fallback_copies(), 1u);
-  // Later swaps keep working in copy mode.
-  SwapOnePageAndVerify(region.get(), 'E');
-}
-
-TEST_F(FaultInjectionTest, RemapRunTransientFailureRecoversInPlace) {
-  auto region = RewiredRegion::Create(1 << 20, 1 << 20, false);
-  ASSERT_NE(region, nullptr);
-  if (!region->rewiring_enabled()) {
-    GTEST_SKIP() << "no memfd rewiring in this environment";
-  }
-  // A single transient per-run mmap failure is absorbed by the backoff
-  // retry: the publication still lands as a remap, nothing degrades.
-  ASSERT_TRUE(failpoint::Set("rewiring.remap_run", "once"));
-  SwapOnePageAndVerify(region.get(), 'F');
-  EXPECT_FALSE(region->degraded_to_copy());
-  EXPECT_TRUE(region->rewiring_enabled());
-  EXPECT_EQ(region->num_remap_failures(), 0u);
-  EXPECT_GE(region->num_remaps(), 1u);
-}
-
-TEST_F(FaultInjectionTest, RemapRunExhaustionRestoresThenDegrades) {
-  auto region = RewiredRegion::Create(1 << 20, 1 << 20, false);
-  ASSERT_NE(region, nullptr);
-  if (!region->rewiring_enabled()) {
-    GTEST_SKIP() << "no memfd rewiring in this environment";
-  }
-  // Every attempt of every run fails: the swap must restore the original
-  // mappings (the restore path runs with failpoints suppressed, as a
-  // real recovery would reuse already-reserved resources) and publish by
-  // copy.
-  ASSERT_TRUE(failpoint::Set("rewiring.remap_run", "always"));
-  SwapOnePageAndVerify(region.get(), 'G');
-  failpoint::Clear("rewiring.remap_run");
-  EXPECT_TRUE(region->degraded_to_copy());
-  EXPECT_EQ(region->num_remap_failures(), 1u);
-  SwapOnePageAndVerify(region.get(), 'H');
-}
-
 // -------------------------------------------------------------- storage
 
 TEST_F(FaultInjectionTest, StorageTryCreateSurfacesStatus) {
   ASSERT_TRUE(failpoint::Set("storage.create", "once"));
   Status st;
-  auto storage = Storage::TryCreate(8, 32, false, &st);
+  auto storage = Storage::TryCreate(8, 32, &st);
   EXPECT_EQ(storage, nullptr);
   EXPECT_EQ(st.code(), Status::Code::kResourceExhausted);
   // The failpoint has recovered: the retry succeeds.
   st = Status::OK();
-  storage = Storage::TryCreate(8, 32, false, &st);
+  storage = Storage::TryCreate(8, 32, &st);
   ASSERT_NE(storage, nullptr);
   EXPECT_TRUE(st.ok());
   EXPECT_EQ(storage->num_segments(), 8u);
@@ -405,23 +292,6 @@ TEST_F(FaultInjectionTest, WatchdogStaysQuietOnHealthyRun) {
   for (Key k = 0; k < 4000; ++k) pma.Insert(k, k);
   pma.Flush();
   EXPECT_EQ(pma.num_watchdog_trips(), 0u);
-}
-
-TEST_F(FaultInjectionTest, CopyPublishIsNotDegraded) {
-  // use_rewiring=false publishes rebalances by copy over the memfd
-  // backend: the default, not a degradation (the anonymous backend and
-  // remap-failure degradation are what fallback_backend_active reports;
-  // see ChaosShardLocal in test_sharded.cc).
-  ConcurrentConfig cfg = SmallConfig(ConcurrentConfig::AsyncMode::kSync);
-  cfg.pma.use_rewiring = false;
-  ConcurrentPMA pma(cfg);
-  EXPECT_FALSE(pma.fallback_backend_active());
-  for (Key k = 0; k < 1000; ++k) pma.Insert(k, k);
-  pma.Flush();
-  EXPECT_EQ(pma.Size(), 1000u);
-  EXPECT_GT(pma.num_resizes(), 0u);
-  EXPECT_EQ(pma.storage_num_remaps(), 0u);
-  EXPECT_FALSE(pma.fallback_backend_active());
 }
 
 }  // namespace

@@ -15,7 +15,7 @@ std::unique_ptr<Structure> MakeSnapshot() {
   auto snap = std::make_unique<Structure>();
   snap->version = 1;
   snap->segments_per_gate = 2;
-  snap->storage = std::make_unique<Storage>(8, 4, true);
+  snap->storage = std::make_unique<Storage>(8, 4);
   for (size_t g = 0; g < 4; ++g) {
     snap->gates.emplace_back(static_cast<uint32_t>(g), g * 2, (g + 1) * 2);
   }

@@ -55,7 +55,7 @@ TEST(CanonicalizeBatch, LastOpPerKeyWins) {
 }
 
 TEST(CountMerged, ClassifiesInsertsUpsertsDeletes) {
-  Storage st(4, 8, true);
+  Storage st(4, 8);
   FillStorage(&st, {4, 4, 0, 0});  // keys 10..80
   std::vector<BatchEntry> ops = {
       {15, 1, false},   // new insert
@@ -72,7 +72,7 @@ TEST(CountMerged, ClassifiesInsertsUpsertsDeletes) {
 }
 
 TEST(MergedCopy, ProducesSortedMergedContent) {
-  Storage st(4, 8, true);
+  Storage st(4, 8);
   FillStorage(&st, {4, 4, 0, 0});
   std::vector<BatchEntry> ops = {
       {15, 1, false}, {20, 9, false}, {30, 0, true}, {100, 5, false}};
@@ -99,7 +99,7 @@ TEST(MergedCopy, ProducesSortedMergedContent) {
 }
 
 TEST(MergedCopy, DeleteEverything) {
-  Storage st(2, 8, true);
+  Storage st(2, 8);
   FillStorage(&st, {4, 4});
   std::vector<BatchEntry> ops;
   for (Key k = 10; k <= 80; k += 10) ops.push_back({k, 0, true});
@@ -115,7 +115,7 @@ TEST(MergedCopy, DeleteEverything) {
 }
 
 TEST(MergedStream, ResizeMergesIntoFreshStorage) {
-  Storage old_st(2, 8, true);
+  Storage old_st(2, 8);
   FillStorage(&old_st, {6, 6});  // keys 10..120
   std::vector<BatchEntry> ops = {
       {5, 55, false}, {60, 0, true}, {125, 7, false}};
@@ -123,7 +123,7 @@ TEST(MergedStream, ResizeMergesIntoFreshStorage) {
   const size_t total =
       CountMerged(old_st, 0, 2, ops, &ins, &del);
   EXPECT_EQ(total, 12u + 2u - 1u);
-  Storage fresh(4, 8, true);
+  Storage fresh(4, 8);
   MergedStreamInto(old_st, ops, total, &fresh);
   auto got = Dump(fresh);
   ASSERT_EQ(got.size(), total);
@@ -143,7 +143,7 @@ TEST(MergedStream, ResizeMergesIntoFreshStorage) {
 }
 
 TEST(MergedCopy, EmptyBatchIsAPureSpread) {
-  Storage st(4, 8, true);
+  Storage st(4, 8);
   FillStorage(&st, {7, 1, 0, 2});  // keys 10..100
   std::vector<BatchEntry> ops;  // empty batch: merge degenerates to spread
   size_t ins = 0, del = 0;
@@ -168,7 +168,7 @@ TEST(MergedCopy, EmptyBatchIsAPureSpread) {
 TEST(MergedCopy, BatchConfinedToOneSegment) {
   // Every batch key lands inside segment 1's key range; the merge must
   // still emit segments 0, 2, 3 as unbroken runs around it.
-  Storage st(4, 8, true);
+  Storage st(4, 8);
   FillStorage(&st, {4, 4, 4, 4});  // keys 10..160
   std::vector<BatchEntry> ops = {
       {51, 1, false},  // insert inside segment 1
@@ -206,7 +206,7 @@ TEST(MergedCopy, AdaptivePlanFollowsInsertionPredictor) {
   // the predictor says the next inserts go — the right edge here.
   constexpr uint32_t B = 16;
   constexpr size_t kSegs = 8;
-  Storage st(kSegs, B, true);
+  Storage st(kSegs, B);
   FillStorage(&st, {12, 12, 12, 12, 12, 12, 12, 15});  // keys 10..990
   for (int i = 0; i < 40; ++i) st.bump_insert_count(kSegs - 1);
   for (int i = 0; i < 5; ++i) st.bump_insert_count(2);
@@ -252,7 +252,7 @@ TEST(MergedCopy, AdaptivePlanStaysInsideTheBand) {
   for (int round = 0; round < 300; ++round) {
     const uint32_t B = 8u << rng.NextBounded(3);
     const size_t n = size_t{2} << rng.NextBounded(4);
-    Storage st(n, B, true);
+    Storage st(n, B);
     std::vector<uint32_t> cards(n);
     for (auto& c : cards) c = 1 + static_cast<uint32_t>(rng.NextBounded(B));
     FillStorage(&st, cards);
@@ -371,7 +371,7 @@ TEST(MergedStream, RandomisedAgainstStdMap) {
   for (int round = 0; round < 50; ++round) {
     const size_t segs = 4;
     const uint32_t B = 16;
-    Storage st(segs, B, true);
+    Storage st(segs, B);
     std::map<Key, Value> oracle;
     // Random initial content (sorted, strided keys).
     Key k = 1;

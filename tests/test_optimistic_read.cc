@@ -40,7 +40,6 @@
 
 #include "common/latches.h"
 #include "common/random.h"
-#include "common/tagged.h"
 #include "concurrent/concurrent_pma.h"
 #include "concurrent/gate.h"
 
@@ -327,12 +326,10 @@ TEST(OptimisticRead, ShortScansCompleteUnderAppends) {
 // global rebalances, resizes and shrinks under the readers. SumAll, a
 // full Scan and Find of a pinned key must each see exactly the pinned
 // set, however the read was served: `budget` 0 puts every read on the
-// READ latch, and `use_rewiring` publishes every spread by page remap
-// instead of the default copy.
-void RunReadersCompleteUnderChurn(int budget, bool use_rewiring = false) {
+// READ latch.
+void RunReadersCompleteUnderChurn(int budget) {
   ConcurrentConfig cfg = SmallGateConfig(ConcurrentConfig::AsyncMode::kSync);
   cfg.optimistic_retries = budget;
-  cfg.pma.use_rewiring = use_rewiring;
   ConcurrentPMA pma(cfg);
   constexpr Key kPinned = 4096;
   constexpr Key kTop = 4 * kPinned;
@@ -383,13 +380,7 @@ void RunReadersCompleteUnderChurn(int budget, bool use_rewiring = false) {
       }
     });
   }
-  // Sample the publish counter while the writers churn (each resize
-  // starts a fresh storage, and with it a fresh count).
-  uint64_t remaps_seen = 0;
-  for (int i = 0; i < 200; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    remaps_seen = std::max(remaps_seen, pma.storage_num_remaps());
-  }
+  std::this_thread::sleep_for(std::chrono::seconds(2));
   stop_writers.store(true);
   for (auto& th : writers) th.join();
   stop_readers.store(true);
@@ -402,13 +393,6 @@ void RunReadersCompleteUnderChurn(int budget, bool use_rewiring = false) {
   // The fences must actually have moved for the test to mean anything.
   EXPECT_GT(pma.num_global_rebalances(), 0u);
   EXPECT_GT(pma.num_resizes(), 0u);
-  // The publish mechanism under test actually ran (TSan builds and the
-  // anonymous backend always copy).
-  if (!use_rewiring) {
-    EXPECT_EQ(remaps_seen, 0u);
-  } else if (!CPMA_TSAN && !pma.fallback_backend_active()) {
-    EXPECT_GT(remaps_seen, 0u);
-  }
   pma.Flush();
   std::string err;
   EXPECT_TRUE(pma.CheckInvariants(&err)) << err;
@@ -421,10 +405,6 @@ TEST(OptimisticRead, ReadersCompleteUnderChurn) {
 
 TEST(OptimisticRead, ForcedFallbackReadersCompleteUnderChurn) {
   RunReadersCompleteUnderChurn(/*budget=*/0);
-}
-
-TEST(OptimisticRead, RemapPublishReadersCompleteUnderChurn) {
-  RunReadersCompleteUnderChurn(/*budget=*/8, /*use_rewiring=*/true);
 }
 
 TEST(OptimisticRead, ForcedFallbackMatchesBlocking) {

@@ -24,11 +24,11 @@
 //  - ScanUnderWriters: ordered cross-shard scans (range concatenation
 //    AND hash k-way merge) stay strictly ascending while writers mutate
 //    every shard.
-//  - ChaosShardLocal: with rewiring.memfd failing process-wide, only
-//    the shard that resizes degrades to the copy-publish backend; the
-//    idle shards stay healthy and every op still applies (containment:
-//    a fault amplified by load on one key range cannot take the whole
-//    fleet's publish path down).
+//  - ChaosShardLocal: with storage.create failing process-wide, only
+//    the shard that resizes meets the fault and retries; the idle shards
+//    neither retry nor resize, and every op still applies exactly
+//    (containment: a fault amplified by load on one key range cannot
+//    reach the rest of the fleet).
 //  - EnvKnobs: CPMA_SHARDS / CPMA_COALESCE_OPS / CPMA_COALESCE_AGE_MS
 //    override the config; garbage values are ignored with a warning.
 //  - Placement: pin_workers pins shard i's rebalancer master to
@@ -527,10 +527,11 @@ TEST(ShardedScan, EarlyStopIsHonored) {
 
 // ------------------------------------------------------ chaos (shard-local)
 
-// Process-wide fault, shard-local blast radius: with rewiring.memfd
-// failing for every NEW storage, only the shard that resizes under load
-// degrades to the copy-publish backend. The untouched shards keep their
-// healthy mappings — and every op still lands.
+// Process-wide fault, shard-local blast radius: with storage.create
+// failing for the next two storages anywhere in the process, only the
+// shard that resizes under load meets the fault — it retries the
+// allocation and resizes — while the idle shards neither retry nor
+// resize, and every op still lands.
 TEST(ChaosShardLocal, DegradationStaysOnTheLoadedShard) {
   if (!failpoint::kCompiledIn) {
     GTEST_SKIP() << "failpoints compiled out (CPMA_ENABLE_FAILPOINTS=OFF)";
@@ -540,48 +541,55 @@ TEST(ChaosShardLocal, DegradationStaysOnTheLoadedShard) {
                                   /*coalesce=*/8,
                                   ConcurrentConfig::AsyncMode::kOneByOne);
   cfg.splitters = {10000, 20000, 30000};
-  ShardedPMA pma(cfg);  // initial storages created healthy
+  ShardedPMA pma(cfg);  // initial storages created before the fault
 
-  ASSERT_TRUE(failpoint::Set("rewiring.memfd", "always"));
+  ASSERT_TRUE(failpoint::Set("storage.create", "times:2"));
   // Storm shard 0's key range only, from two threads, until it resized.
+  // Writer w owns the keys of parity w, so its last op per key is final.
   constexpr int kWriters = 2;
   constexpr int kOps = 2000;
+  std::vector<std::map<Key, Value>> last(kWriters);
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
       Random rng(1200 + static_cast<uint64_t>(w));
+      auto& mine = last[static_cast<size_t>(w)];
       for (int i = 0; i < kOps; ++i) {
-        pma.Insert(rng.NextBounded(10000), static_cast<Value>(i));
+        const Key k = rng.NextBounded(5000) * kWriters + static_cast<Key>(w);
+        pma.Insert(k, static_cast<Value>(i));
+        mine[k] = static_cast<Value>(i);
       }
     });
   }
   for (auto& t : writers) t.join();
   pma.Flush();
+  EXPECT_EQ(failpoint::Fires("storage.create"), 2u);
   failpoint::ClearAll();
 
   ASSERT_GT(pma.shard(0).num_resizes(), 0u)
       << "scenario failed to resize the loaded shard";
-  EXPECT_TRUE(pma.shard(0).fallback_backend_active())
-      << "resized-under-fault shard should publish by copy";
+  EXPECT_GT(pma.shard(0).num_rebalance_retries(), 0u)
+      << "the loaded shard's resize should have met the fault";
   for (size_t s = 1; s < pma.num_shards(); ++s) {
+    EXPECT_EQ(pma.shard(s).num_rebalance_retries(), 0u) << "shard " << s;
     EXPECT_EQ(pma.shard(s).num_resizes(), 0u) << "shard " << s;
-    EXPECT_FALSE(pma.shard(s).fallback_backend_active())
-        << "idle shard " << s << " degraded";
   }
-  EXPECT_EQ(pma.GetStats().degraded_shards, 1u);
 
-  // Containment is not data loss: everything is present and sane.
-  uint64_t count = 0;
-  Key prev = 0;
-  bool first = true;
-  pma.Scan(kKeyMin, kKeyMax, [&](Key k, Value) {
-    EXPECT_TRUE(first || k > prev);
-    first = false;
-    prev = k;
-    ++count;
+  // Containment is not data loss: the contents are exactly the last
+  // value each writer wrote per key.
+  std::map<Key, Value> oracle;
+  for (const auto& mine : last) oracle.insert(mine.begin(), mine.end());
+  auto it = oracle.begin();
+  pma.Scan(kKeyMin, kKeyMax, [&](Key k, Value v) {
+    EXPECT_NE(it, oracle.end()) << "extra key " << k;
+    if (it == oracle.end()) return false;
+    EXPECT_EQ(k, it->first);
+    EXPECT_EQ(v, it->second) << "key " << k;
+    ++it;
     return true;
   });
-  EXPECT_EQ(count, pma.Size());
+  EXPECT_EQ(it, oracle.end()) << "scan stopped short";
+  EXPECT_EQ(pma.Size(), oracle.size());
   for (size_t s = 0; s < pma.num_shards(); ++s) {
     std::string err;
     EXPECT_TRUE(pma.shard(s).CheckInvariants(&err))

@@ -22,8 +22,7 @@
 //    strictly ascending scans, self-consistent derived values, two
 //    passes identical, zero retries.
 //  - FrozenWhileLiveDiverges and StormScans* run over PreserveConfigs():
-//    sub-page gates, the paper's four-page gates, and both with remap
-//    publishes.
+//    sub-page gates and the paper's four-page gates.
 //  - Sharded*: ShardedPMA::Snapshot() drains the coalescing front door
 //    (everything Insert()ed before the call is captured) and freezes
 //    all shards; range concatenation and hash k-way merge both yield
@@ -59,18 +58,11 @@ ConcurrentConfig SmallConfig(size_t seg_cap = 16) {
 
 // Inputs for the preservation path: SmallConfig's 1 KiB gates; the
 // paper geometry (B = 128, 8 segments per gate), whose 16 KiB gates are
-// exactly four pages; and both with rebalances published by page remap.
+// exactly four pages.
 std::vector<std::pair<const char*, ConcurrentConfig>> PreserveConfigs() {
   ConcurrentConfig paper = SmallConfig(128);
   paper.segments_per_gate = 8;
-  ConcurrentConfig small_remap = SmallConfig();
-  ConcurrentConfig paper_remap = paper;
-  small_remap.pma.use_rewiring = true;
-  paper_remap.pma.use_rewiring = true;
-  return {{"small", SmallConfig()},
-          {"paper", paper},
-          {"small_remap", small_remap},
-          {"paper_remap", paper_remap}};
+  return {{"small", SmallConfig()}, {"paper", paper}};
 }
 
 void ExpectSnapshotExactly(const std::map<Key, Value>& oracle,

@@ -221,11 +221,11 @@ INSTANTIATE_TEST_SUITE_P(
 // The soak workload, with a fault conductor re-arming random
 // failpoint sites mid-storm using finite (times:1..3) policies — so
 // every injected fault eventually recovers and the run must converge to
-// the exact per-key final state despite resize-allocation failures,
-// remap-publication failures, degraded region creation and injected
-// master stalls. Seeded via CPMA_CHAOS_SEED for reproduction: a failing
-// seed from CI replays bit-identically (the conductor's arm schedule is
-// a pure function of seed and iteration, not wall clock).
+// the exact per-key final state despite storage-allocation failures,
+// epoch-GC slot-chunk failures and injected master stalls. Seeded via
+// CPMA_CHAOS_SEED for reproduction: a failing seed from CI replays
+// bit-identically (the conductor's arm schedule is a pure function of
+// seed and iteration, not wall clock).
 
 uint64_t ChaosSeed() {
   const char* env = std::getenv("CPMA_CHAOS_SEED");
@@ -236,14 +236,14 @@ uint64_t ChaosSeed() {
 }
 
 // Sites the conductor may arm mid-run. All are recoverable-by-design
-// under finite policies: creation faults degrade the next storage to the
-// copy backend, remap faults degrade one region, alloc faults run the
-// resize ladder, the stall only delays. threadpool.spawn is excluded —
-// it only fires during construction, before the storm.
+// under finite policies: storage faults run the resize ladder, slot-chunk
+// faults fall back to the reserve chunk, the stall only delays.
+// threadpool.spawn is excluded — it only fires during construction,
+// before the storm.
 constexpr const char* kChaosSites[] = {
-    "storage.create",   "rewiring.remap", "rewiring.remap_run",
-    "rewiring.memfd",   "rewiring.mmap",  "rewiring.ftruncate",
-    "rebalancer.stall", "epoch_gc.slot_chunk",
+    "storage.create",
+    "rebalancer.stall",
+    "epoch_gc.slot_chunk",
 };
 
 void AppendChaosJson(const SoakParam& p, uint64_t seed, int64_t budget_ms,
@@ -260,8 +260,7 @@ void AppendChaosJson(const SoakParam& p, uint64_t seed, int64_t budget_ms,
       "\"budget_ms\": %lld, \"survivors\": %zu, \"reads\": %llu, "
       "\"fault_arms\": %llu, \"failpoint_fires\": %llu, "
       "\"errors_reported\": %llu, \"rebalance_retries\": %llu, "
-      "\"watchdog_trips\": %llu, \"remap_failures\": %llu, "
-      "\"fallback_backend_active\": %s, \"resizes\": %llu, "
+      "\"watchdog_trips\": %llu, \"resizes\": %llu, "
       "\"batches\": %llu}\n",
       p.name, static_cast<unsigned long long>(seed),
       static_cast<long long>(budget_ms), survivors,
@@ -271,8 +270,6 @@ void AppendChaosJson(const SoakParam& p, uint64_t seed, int64_t budget_ms,
       static_cast<unsigned long long>(errors),
       static_cast<unsigned long long>(pma.num_rebalance_retries()),
       static_cast<unsigned long long>(pma.num_watchdog_trips()),
-      static_cast<unsigned long long>(pma.storage_num_remap_failures()),
-      pma.fallback_backend_active() ? "true" : "false",
       static_cast<unsigned long long>(pma.num_resizes()),
       static_cast<unsigned long long>(pma.num_batches()));
   std::fclose(f);
@@ -288,7 +285,6 @@ TEST_P(ChaosSoak, FaultStormConvergesToExactState) {
   const SoakParam param = GetParam();
   ConcurrentConfig cfg = SoakConfig(param);
   cfg.watchdog_ms = 50;  // exercised by the rebalancer.stall arms
-  cfg.pma.use_rewiring = true;  // remap publishes reach the remap sites
   ConcurrentPMA pma(cfg);
 
   std::atomic<uint64_t> errors{0};
@@ -296,10 +292,9 @@ TEST_P(ChaosSoak, FaultStormConvergesToExactState) {
 
   const uint64_t seed = ChaosSeed();
   const int64_t budget_ms = SoakBudgetMs();
-  // Pre-arm deterministic faults so even the shortest budget injects
-  // into the first resize and the first remap publication.
+  // Pre-arm a deterministic fault so even the shortest budget injects
+  // into the first resize.
   ASSERT_TRUE(failpoint::Set("storage.create", "times:1"));
-  ASSERT_TRUE(failpoint::Set("rewiring.remap", "once"));
 
   constexpr int kWriters = 3;
   constexpr int kReaders = 2;
@@ -408,17 +403,14 @@ TEST_P(ChaosSoak, FaultStormConvergesToExactState) {
       << "a chaos soak that injected nothing proved nothing";
   std::printf(
       "[chaos] mode=%s seed=%llu budget_ms=%lld survivors=%zu arms=%llu "
-      "fires=%llu errors=%llu retries=%llu watchdog=%llu "
-      "remap_failures=%llu degraded_backend=%d\n",
+      "fires=%llu errors=%llu retries=%llu watchdog=%llu\n",
       param.name, static_cast<unsigned long long>(seed),
       static_cast<long long>(budget_ms), expected,
       static_cast<unsigned long long>(arms.load()),
       static_cast<unsigned long long>(total_fires),
       static_cast<unsigned long long>(errors.load()),
       static_cast<unsigned long long>(pma.num_rebalance_retries()),
-      static_cast<unsigned long long>(pma.num_watchdog_trips()),
-      static_cast<unsigned long long>(pma.storage_num_remap_failures()),
-      pma.fallback_backend_active() ? 1 : 0);
+      static_cast<unsigned long long>(pma.num_watchdog_trips()));
   AppendChaosJson(param, seed, budget_ms, expected, reads.load(),
                   arms.load(), total_fires, errors.load(), pma);
 }
