@@ -278,19 +278,16 @@ bool BwTree::ConsolidateOnce(uint64_t node_id, void* head) {
     cur = static_cast<const Delta*>(cur)->next;
   }
   const auto* old_base = static_cast<const Base*>(cur);
-  const Key low = old_base->low;
-  const Key high = old_base->high;
-  const uint64_t right = old_base->right_id;
 
   if (merged.size() > kMaxEntries) {
-    Split(node_id, low, high, right);
+    Split(node_id);
     return true;
   }
   auto* fresh = new Base();
   fresh->items = std::move(merged);
-  fresh->low = low;
-  fresh->high = high;
-  fresh->right_id = right;
+  fresh->low = old_base->low;
+  fresh->high = old_base->high;
+  fresh->right_id = old_base->right_id;
   if (mapping_[node_id].compare_exchange_strong(
           head, fresh, std::memory_order_acq_rel)) {
     stat_consolidations_.fetch_add(1, std::memory_order_relaxed);
@@ -301,28 +298,39 @@ bool BwTree::ConsolidateOnce(uint64_t node_id, void* head) {
   return false;
 }
 
-void BwTree::Split(uint64_t node_id, Key low, Key high, uint64_t right_id) {
+void BwTree::Split(uint64_t node_id) {
   std::lock_guard<std::mutex> smo(smo_mu_);
-  // Re-materialize under the SMO lock (the chain may have grown).
+  // Re-materialize under the SMO lock (the chain may have grown), and
+  // take the fences and the sibling from this head's base, never from a
+  // read made before the lock: another split of the same node may have
+  // run in between, and splitting on its stale `high` / `right_id` would
+  // link the new upper node past that split's upper node, dropping it
+  // from the leaf chain while it stays routed.
   void* head = mapping_[node_id].load(std::memory_order_acquire);
   std::vector<Item> merged;
   Materialize(head, &merged);
   if (merged.size() <= kMaxEntries) return;  // already handled
+  const void* cur = head;
+  while (static_cast<const NodeHeader*>(cur)->kind !=
+         NodeHeader::Kind::kBase) {
+    cur = static_cast<const Delta*>(cur)->next;
+  }
+  const auto* old_base = static_cast<const Base*>(cur);
 
   const size_t half = merged.size() / 2;
   auto* upper = new Base();
   upper->items.assign(merged.begin() + static_cast<long>(half),
                       merged.end());
   upper->low = upper->items[0].key;
-  upper->high = high;
-  upper->right_id = right_id;
+  upper->high = old_base->high;
+  upper->right_id = old_base->right_id;
   const uint64_t upper_id = next_node_id_.fetch_add(1);
   CPMA_CHECK_MSG(upper_id < kMappingSlots, "mapping table exhausted");
   mapping_[upper_id].store(upper, std::memory_order_release);
 
   auto* lower = new Base();
   lower->items.assign(merged.begin(), merged.begin() + static_cast<long>(half));
-  lower->low = low;
+  lower->low = old_base->low;
   lower->high = upper->low;
   lower->right_id = upper_id;
 

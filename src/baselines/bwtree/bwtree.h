@@ -88,7 +88,8 @@ class BwTree : public OrderedMap {
   /// One consolidation attempt from `head`; true when the chain was
   /// replaced (or a split handled it).
   bool ConsolidateOnce(uint64_t node_id, void* head);
-  void Split(uint64_t node_id, Key low, Key high, uint64_t right_id);
+  /// Split the node in two under `smo_mu_`, from its current head.
+  void Split(uint64_t node_id);
 
   mutable EpochGC gc_;
   mutable FairSharedMutex routing_mu_;

@@ -698,6 +698,7 @@ bool ConcurrentPMA::Find(Key key, Value* value) const {
       // Clamp a (possibly racing) cardinality so the search never leaves
       // the segment; any stored card is <= B, the min is belt-and-braces.
       const uint32_t card = std::min(st.card(s), B);
+      hotpath::PrefetchSegment(seg, card);
       const size_t pos = hotpath::TaggedSegmentLowerBound(seg, card, key);
       it = pos < card ? hotpath::TaggedLoadItem(seg + pos)
                       : Item{kKeySentinel, 0};
@@ -735,7 +736,9 @@ uint64_t ConcurrentPMA::SumAll() const {
     uint64_t local = 0;
     for (size_t s = gate.seg_begin(); s < gate.seg_end(); ++s) {
       if (s + 1 < gate.seg_end()) {
-        hotpath::PrefetchSegment(st.segment(s + 1), st.card(s + 1));
+        hotpath::PrefetchSegment(
+            st.segment(s + 1),
+            std::min(st.card(s + 1), hotpath::kPrefetchHeadItems));
       }
       const Item* seg = st.segment(s);
       const uint32_t card = std::min(st.card(s), B);
@@ -813,6 +816,7 @@ bool ConcurrentPMA::ScanCursor::NextChunk(std::vector<Item>* out) {
       for (bool cut = !resumed; s < gate.seg_end(); ++s, cut = false) {
         const Item* seg = st.segment(s);
         const uint32_t card = std::min(st.card(s), B);
+        if (cut) hotpath::PrefetchSegment(seg, card);
         const uint32_t i0 =
             cut ? static_cast<uint32_t>(
                       hotpath::TaggedSegmentLowerBound(seg, card, next_))
@@ -821,7 +825,9 @@ bool ConcurrentPMA::ScanCursor::NextChunk(std::vector<Item>* out) {
           out->resize(card - i0);
           hotpath::TaggedReadItems(out->data(), seg + i0, card - i0);
           if (s + 1 < gate.seg_end()) {
-            hotpath::PrefetchSegment(st.segment(s + 1), st.card(s + 1));
+            hotpath::PrefetchSegment(
+                st.segment(s + 1),
+                std::min(st.card(s + 1), hotpath::kPrefetchHeadItems));
           }
           break;
         }

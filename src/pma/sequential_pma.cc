@@ -1,5 +1,6 @@
 #include "pma/sequential_pma.h"
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 
@@ -89,6 +90,7 @@ bool SequentialPMA::Find(Key key, Value* value) const {
   size_t s = storage_->RouteSegment(key);
   const Item* seg = storage_->segment(s);
   uint32_t card = storage_->card(s);
+  hotpath::PrefetchSegment(seg, card);
   size_t pos = SegmentLowerBound(seg, card, key);
   if (pos < card && seg[pos].key == key) {
     if (value != nullptr) *value = seg[pos].value;
@@ -102,8 +104,9 @@ uint64_t SequentialPMA::SumAll() const {
   const size_t n = num_segments();
   for (size_t s = 0; s < n; ++s) {
     if (s + 1 < n) {
-      hotpath::PrefetchSegment(storage_->segment(s + 1),
-                               storage_->card(s + 1));
+      hotpath::PrefetchSegment(
+          storage_->segment(s + 1),
+          std::min(storage_->card(s + 1), hotpath::kPrefetchHeadItems));
     }
     const Item* seg = storage_->segment(s);
     const uint32_t card = storage_->card(s);
@@ -116,10 +119,13 @@ void SequentialPMA::Scan(Key min, Key max, const ScanCallback& cb) const {
   if (min > max) return;
   const size_t first = storage_->RouteSegment(min);
   const size_t n = num_segments();
+  // The first segment is searched: fetch all its occupied lines at once.
+  hotpath::PrefetchSegment(storage_->segment(first), storage_->card(first));
   for (size_t s = first; s < n; ++s) {
     if (s + 1 < n) {
-      hotpath::PrefetchSegment(storage_->segment(s + 1),
-                               storage_->card(s + 1));
+      hotpath::PrefetchSegment(
+          storage_->segment(s + 1),
+          std::min(storage_->card(s + 1), hotpath::kPrefetchHeadItems));
     }
     const Item* seg = storage_->segment(s);
     const uint32_t card = storage_->card(s);

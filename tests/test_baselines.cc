@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -198,6 +200,53 @@ TEST_P(OrderedMapConformance, ConcurrentDisjointWritersWithScans) {
   });
   EXPECT_TRUE(content_ok);
   EXPECT_EQ(i, oracle.size());
+}
+
+// Many short rounds, each from an empty map, so nodes split all the time
+// while neighbouring writers run. Two racing splits of one BwTree node
+// must not drop a node from its leaf chain (the element count check and
+// Size() see one that did).
+TEST_P(OrderedMapConformance, DisjointWriterRoundsKeepInvariants) {
+  constexpr int kRounds = 40;
+  constexpr int kWriters = 8;
+  constexpr int kOps = 5000;
+  for (int round = 0; round < kRounds; ++round) {
+    auto m = GetParam().make();
+    std::vector<std::set<Key>> expected(kWriters);
+    std::atomic<bool> stop{false};
+    std::thread scanner([&] {
+      uint64_t sink = 0;
+      while (!stop.load()) sink += m->SumAll();
+      (void)sink;
+    });
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&, w] {
+        Random rng(static_cast<uint64_t>(round * kWriters + w) + 1);
+        for (int i = 0; i < kOps; ++i) {
+          const Key k = rng.NextBounded(1 << 14) * kWriters +
+                        static_cast<Key>(w);
+          if (rng.NextBounded(10) < 7) {
+            m->Insert(k, k);
+            expected[w].insert(k);
+          } else {
+            m->Remove(k);
+            expected[w].erase(k);
+          }
+        }
+      });
+    }
+    for (auto& t : writers) t.join();
+    stop.store(true);
+    scanner.join();
+    m->Flush();
+    size_t total = 0;
+    for (const auto& e : expected) total += e.size();
+    std::string err;
+    ASSERT_TRUE(GetParam().check(m.get(), &err))
+        << "round " << round << ": " << err;
+    ASSERT_EQ(m->Size(), total) << "round " << round;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStructures, OrderedMapConformance,
