@@ -62,13 +62,17 @@
 // slot ever moves). A thread's slot is cached thread_local per
 // (thread, GC instance) and recycled on thread exit; pending garbage in a
 // recycled slot is still epoch-ordered because append order follows the
-// monotone global epoch.
+// monotone global epoch. Finding the cached slot takes no lock: only
+// registration (a cache miss) and thread exit consult the process-wide
+// liveness set, so a pin stays a cache walk, a load and a store even
+// for a thread that works on many GC instances (a sharded fleet).
 //
 // Knobs: EpochGC::Options (per-thread count and byte watermarks that
 // trigger advance+collect, background collector period).
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -174,6 +178,11 @@ class EpochGC {
 
   /// The calling thread's cached slot for this GC (registering on first
   /// use). Shared by EpochGuard and Retire so a thread occupies one slot.
+  /// A hit takes no lock: the lookup compares (address, instance id)
+  /// pairs, and the id keeps a new GC at a recycled address apart from
+  /// the dead one, so a matching entry is this live instance. Only a
+  /// miss — registration — consults the process-wide liveness set, to
+  /// purge the entries of dead instances before adding this one.
   EpochSlot* LocalSlot() {
     struct Entry {
       EpochGC* gc;
@@ -194,19 +203,18 @@ class EpochGC {
       }
     };
     thread_local Cache cache;
-    for (auto it = cache.entries.begin(); it != cache.entries.end();) {
-      if (it->gc == this && it->instance_id == instance_id_) {
-        return it->slot;
-      }
-      // Purge entries whose GC died (their slot storage is gone).
-      if (!EpochGC::IsAlive(it->gc, it->instance_id)) {
-        it = cache.entries.erase(it);
-      } else {
-        ++it;
-      }
+    for (const Entry& e : cache.entries) {
+      if (e.gc == this && e.instance_id == instance_id_) return e.slot;
     }
+    // Miss: drop the entries whose GC died (their slot storage is gone).
+    auto& entries = cache.entries;
+    entries.erase(std::remove_if(entries.begin(), entries.end(),
+                                 [](const Entry& e) {
+                                   return !IsAlive(e.gc, e.instance_id);
+                                 }),
+                  entries.end());
     EpochSlot* slot = RegisterThread();
-    cache.entries.push_back({this, instance_id_, slot});
+    entries.push_back({this, instance_id_, slot});
     return slot;
   }
 

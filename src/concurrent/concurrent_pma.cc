@@ -243,7 +243,8 @@ void ConcurrentPMA::Update(GateOp op) {
   // stamp rides the op through queues and rebalancer merges, where
   // CanonicalizeBatch resolves per-key winners by it.
   op.seq = seq_gen_.fetch_add(1, std::memory_order_relaxed);
-  DispatchStamped(op);
+  EpochGuard guard(gc_);
+  DispatchStamped(&guard, op);
 }
 
 void ConcurrentPMA::UpdateBatch(GateOp* ops, size_t n) {
@@ -259,13 +260,16 @@ void ConcurrentPMA::UpdateBatch(GateOp* ops, size_t n) {
                    "key out of domain (UINT64_MAX reserved)");
     ops[i].seq = base + i;
   }
-  for (size_t i = 0; i < n; ++i) DispatchStamped(ops[i]);
+  // One epoch pin for the whole run: a structure a resize retires
+  // mid-run stays allocated until the run ends, or until an op of the
+  // run meets the invalidated gate and re-pins (DispatchStamped).
+  EpochGuard guard(gc_);
+  for (size_t i = 0; i < n; ++i) DispatchStamped(&guard, ops[i]);
 }
 
-void ConcurrentPMA::DispatchStamped(GateOp op) {
+void ConcurrentPMA::DispatchStamped(EpochGuard* guard, GateOp op) {
   const bool allow_queue =
       cfg_.async_mode != ConcurrentConfig::AsyncMode::kSync;
-  EpochGuard guard(gc_);
   for (;;) {
     Structure* snap = structure_.load(std::memory_order_acquire);
     size_t gid = snap->index->Lookup(op.key);
@@ -285,7 +289,7 @@ void ConcurrentPMA::DispatchStamped(GateOp op) {
       }
     }
     if (a == GateAccess::kInvalidated) {
-      guard.Refresh();
+      guard->Refresh();
       continue;
     }
     if (a == GateAccess::kQueued) {
@@ -389,12 +393,13 @@ void ConcurrentPMA::OwnerApplyAndDrain(Structure* snap, Gate* gate,
       }
       return;  // queue empty: gate released
     }
-    // Batch mode: take the whole queue at once.
+    // Batch mode: release unless ops are queued, and only then take
+    // the whole queue. A false release keeps the WRITE hold, and only
+    // the owner drains a held gate, so the queue is still non-empty
+    // when it is taken — an empty queue costs one lock and no deque.
+    if (gate->WriterRelease()) return;
     std::deque<GateOp> q = gate->WriterTakeQueue();
-    if (q.empty()) {
-      if (gate->WriterRelease()) return;
-      continue;  // new ops slipped in
-    }
+    CPMA_CHECK(!q.empty());
     pending_async_.fetch_sub(static_cast<int64_t>(q.size()),
                              std::memory_order_relaxed);
     for (const GateOp& qop : q) {
@@ -770,10 +775,7 @@ uint64_t ConcurrentPMA::SumAll() const {
     next = gate_high + 1;
     ++gid;
   }
-  if (gate_reads != 0) {
-    stat_optimistic_gate_reads_.fetch_add(gate_reads,
-                                          std::memory_order_relaxed);
-  }
+  if (gate_reads != 0) AddOptimisticGateReads(gate_reads);
   return sum;
 }
 
@@ -789,8 +791,7 @@ ConcurrentPMA::ScanCursor::ScanCursor(const ConcurrentPMA& pma, Key min,
 
 ConcurrentPMA::ScanCursor::~ScanCursor() {
   if (optimistic_gate_reads_ != 0) {
-    pma_.stat_optimistic_gate_reads_.fetch_add(optimistic_gate_reads_,
-                                               std::memory_order_relaxed);
+    pma_.AddOptimisticGateReads(optimistic_gate_reads_);
   }
 }
 
@@ -896,6 +897,25 @@ void ConcurrentPMA::Scan(Key min, Key max, const ScanCallback& cb) const {
     }
   }
   tls_run = std::move(run);
+}
+
+// ------------------------------------------------------------ statistics
+
+void ConcurrentPMA::AddOptimisticGateReads(uint64_t n) const {
+  // Each thread keeps one stripe for its lifetime, shared by every PMA.
+  static std::atomic<size_t> next_stripe{0};
+  thread_local const size_t stripe =
+      next_stripe.fetch_add(1, std::memory_order_relaxed) % kTallyStripes;
+  stat_optimistic_gate_reads_[stripe].n.fetch_add(
+      n, std::memory_order_relaxed);
+}
+
+uint64_t ConcurrentPMA::num_optimistic_gate_reads() const {
+  uint64_t sum = 0;
+  for (const TallyStripe& s : stat_optimistic_gate_reads_) {
+    sum += s.n.load(std::memory_order_relaxed);
+  }
+  return sum;
 }
 
 // ------------------------------------------------- storage observability

@@ -128,15 +128,18 @@ class ConcurrentPMA : public OrderedMap {
 
   /// Batched front-door hand-off (ISSUE 8): apply a producer-ordered run
   /// of ops, equivalent to calling Insert/Remove for each in order but
-  /// with ONE enqueue-stamp reservation for the whole run instead of a
-  /// fetch_add per op — the contended-counter amortization the sharded
-  /// coalescing front door exists for. The block reservation linearizes
-  /// the run at the reservation point, so per-producer FIFO (ISSUE 5)
-  /// is preserved exactly as if the ops had been issued one by one
-  /// there; callers flushing staging buffers must therefore serialize
-  /// UpdateBatch calls per producer (the sharded front door holds the
-  /// producer slot's flush lock across the call). Ops are dispatched in
-  /// array order; `ops[i].seq` is overwritten.
+  /// with ONE enqueue-stamp reservation and ONE epoch pin for the whole
+  /// run instead of a fetch_add and a pin per op — the per-op costs the
+  /// sharded coalescing front door exists to amortize. The block
+  /// reservation linearizes the run at the reservation point, so
+  /// per-producer FIFO (ISSUE 5) is preserved exactly as if the ops had
+  /// been issued one by one there; callers flushing staging buffers must
+  /// therefore serialize UpdateBatch calls per producer (the sharded
+  /// front door holds the producer slot's flush lock across the call).
+  /// Ops are dispatched in array order; `ops[i].seq` is overwritten. A
+  /// structure a resize retires during the run is freed once the run
+  /// ends (or re-pins on meeting the invalidated gate), so keep runs
+  /// short: the front door's are about `coalesce_ops` long.
   void UpdateBatch(GateOp* ops, size_t n);
 
   /// Bulk load: build the whole array from `n` items with strictly
@@ -233,10 +236,9 @@ class ConcurrentPMA : public OrderedMap {
   /// Gate visits served latch-free by validated optimistic scan windows
   /// (Scan/SumAll; Find avoids a shared counter on its hot path). Each
   /// Scan, ScanCursor and SumAll tallies its visits locally and adds
-  /// them here once, when it finishes.
-  uint64_t num_optimistic_gate_reads() const {
-    return stat_optimistic_gate_reads_.load(std::memory_order_relaxed);
-  }
+  /// them once, when it finishes, to its thread's stripe of the counter;
+  /// this sums the stripes (exact once the scans have finished).
+  uint64_t num_optimistic_gate_reads() const;
 
   /// Effective per-gate optimistic retry budget (config, possibly
   /// overridden by CPMA_OPTIMISTIC_RETRIES at construction).
@@ -343,9 +345,11 @@ class ConcurrentPMA : public OrderedMap {
   void Update(GateOp op);
 
   // Dispatch an op that already carries its enqueue stamp (Update stamps
-  // one op, UpdateBatch reserves a block): index descent, gate access,
-  // owner apply / queue hand-off.
-  void DispatchStamped(GateOp op);
+  // one op, UpdateBatch reserves a block) under the caller's epoch pin
+  // (Update pins per op, UpdateBatch once per run): index descent, gate
+  // access, owner apply / queue hand-off. An invalidated gate refreshes
+  // `guard` and restarts on the new structure.
+  void DispatchStamped(EpochGuard* guard, GateOp op);
 
   // Owner path: apply `op`, then drain the combining queue according to
   // the configured async mode.
@@ -445,41 +449,65 @@ class ConcurrentPMA : public OrderedMap {
                      std::unique_ptr<Structure>* out) const;
   void PublishLoaded(std::unique_ptr<Structure> loaded, size_t n);
 
+  // Members are grouped by who writes them, so that no field an op
+  // writes shares a cache line with one every op reads: the read-mostly
+  // group first (written only by construction, a structure publish or
+  // Snapshot()), then one alignas(64) group per kind of write.
+
   ConcurrentConfig cfg_;
   // Effective retry budget (cfg_ value or CPMA_OPTIMISTIC_RETRIES).
   int optimistic_retries_ = 8;
   // Effective watchdog threshold (cfg_ value or CPMA_WATCHDOG_MS).
   int64_t watchdog_ms_ = 0;
-  // Global enqueue stamp generator; see GateOp::seq.
-  std::atomic<uint64_t> seq_gen_{1};
-  mutable EpochGC gc_;
   std::atomic<Structure*> structure_;
-  std::atomic<size_t> count_{0};
-  std::atomic<int64_t> pending_async_{0};
   std::unique_ptr<Rebalancer> rebalancer_;
+  // COW snapshot stamp, bumped once per Snapshot() under snaps_mu_ and
+  // read by every mutation (PreserveGateForSnapshots).
+  mutable std::atomic<uint64_t> snap_stamp_{0};
 
-  std::atomic<uint64_t> stat_local_rebalances_{0};
+  // Global enqueue stamp generator (see GateOp::seq): one RMW per
+  // Update and per UpdateBatch run.
+  alignas(64) std::atomic<uint64_t> seq_gen_{1};
+
+  // Element count (every insert and remove) and the queued-op tally.
+  alignas(64) std::atomic<size_t> count_{0};
+  std::atomic<int64_t> pending_async_{0};
+
+  alignas(64) std::atomic<uint64_t> stat_local_rebalances_{0};
   std::atomic<uint64_t> stat_global_rebalances_{0};
   std::atomic<uint64_t> stat_resizes_{0};
   std::atomic<uint64_t> stat_queued_ops_{0};
   std::atomic<uint64_t> stat_batches_{0};
   mutable std::atomic<uint64_t> stat_read_fallbacks_{0};
-  mutable std::atomic<uint64_t> stat_optimistic_gate_reads_{0};
   std::atomic<uint64_t> stat_rebalance_retries_{0};
+
+  // Optimistic scan gate reads, striped: every Scan, ScanCursor and
+  // SumAll adds its tally to the stripe of its thread (picked once per
+  // thread, round robin), so concurrent short scans do not bounce one
+  // line; num_optimistic_gate_reads() sums the stripes.
+  struct alignas(64) TallyStripe {
+    std::atomic<uint64_t> n{0};
+  };
+  static constexpr size_t kTallyStripes = 16;
+  mutable TallyStripe stat_optimistic_gate_reads_[kTallyStripes];
+  void AddOptimisticGateReads(uint64_t n) const;
+
+  // Cache-line aligned by its slots; only the collector and retirements
+  // write its shared fields.
+  mutable EpochGC gc_;
 
   // Background-error surface (ISSUE 7).
   std::function<void(const Status&)> error_cb_;
   mutable std::mutex error_mu_;
   Status last_error_;
 
-  // COW snapshot registry (ISSUE 9). snap_stamp_ is bumped once per
-  // Snapshot() under snaps_mu_; a gate whose cow_stamp matches it has
-  // been preserved for every open snapshot. Preservation itself is
+  // COW snapshot registry (ISSUE 9). snap_stamp_ (above) is bumped once
+  // per Snapshot() under snaps_mu_; a gate whose cow_stamp matches it
+  // has been preserved for every open snapshot. Preservation itself is
   // serialized by snaps_mu_ — it runs at most once per (gate, snapshot),
   // so contention there is a cold path by construction.
   mutable std::mutex snaps_mu_;
   mutable std::vector<PMASnapshot*> open_snaps_;
-  mutable std::atomic<uint64_t> snap_stamp_{0};
   mutable std::atomic<uint64_t> stat_snapshots_taken_{0};
   mutable std::atomic<uint64_t> snapshots_open_{0};
 };

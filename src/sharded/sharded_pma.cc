@@ -196,7 +196,9 @@ void ShardedPMA::FlushSlotShard(ProducerSlot* slot, size_t shard_idx,
   // earlier take must be reserved and dispatched before a later take's
   // (header comment; this is the per-key FIFO argument).
   std::lock_guard<std::mutex> fl(slot->flush_mu);
-  std::vector<GateOp> run;
+  // The take swaps the empty spare in, so the producer keeps a buffer
+  // with capacity instead of re-growing a fresh one on every run.
+  std::vector<GateOp>& run = slot->spare;
   {
     std::lock_guard<std::mutex> al(slot->append_mu);
     run.swap(slot->per_shard[shard_idx].ops);
@@ -208,6 +210,7 @@ void ShardedPMA::FlushSlotShard(ProducerSlot* slot, size_t shard_idx,
   }
   stat_coalesced_flushes_.fetch_add(1, std::memory_order_relaxed);
   stat_coalesced_ops_.fetch_add(run.size(), std::memory_order_relaxed);
+  run.clear();
   if (from_ager) {
     stat_age_flushes_.fetch_add(1, std::memory_order_relaxed);
     // The ager has no caller to hand an error to: surface a shard that

@@ -26,8 +26,9 @@
 //   coalescing front door   With coalesce_ops > 0, Insert/Remove stage
 //             ops in per-producer, per-shard buffers and hand them to
 //             the owning shard in runs via ConcurrentPMA::UpdateBatch —
-//             one enqueue-stamp reservation and one index descent
-//             amortized over the run instead of per op. Buffers flush
+//             one enqueue-stamp reservation and one epoch pin amortized
+//             over the run instead of per op; each op still descends the
+//             index and takes its gate on its own. Buffers flush
 //             when they reach coalesce_ops, when they age past
 //             coalesce_age_ms (background age flusher), and on Flush().
 //             Per-key, per-producer FIFO (ISSUE 5) is preserved: a key
@@ -267,6 +268,9 @@ class ShardedPMA : public OrderedMap {
     /// dispatched before the later take's.
     std::mutex flush_mu;
     std::vector<ShardBuf> per_shard;
+    /// Guarded by flush_mu: the empty buffer a flush swaps in for the
+    /// run it takes; the run's buffer, cleared, is the next spare.
+    std::vector<GateOp> spare;
   };
 
   void Enqueue(GateOp op);

@@ -14,6 +14,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <new>
 #include <set>
 #include <thread>
 #include <vector>
@@ -147,6 +149,71 @@ TEST(EpochGCCore, SlotReusedAfterThreadExit) {
   std::thread([&] { EpochGuard guard(gc); }).join();  // recycles the slot
   gc.Collect();
   EXPECT_EQ(freed.load(), 1);
+}
+
+// A thread working on several GC instances (a sharded fleet) caches one
+// slot per instance and finds it without a lock. Instances die and are
+// born at the same address (built in place here, so the address reuse
+// is certain): the newcomer must get a fresh slot of its own, never the
+// dead instance's cached one (ASan would catch a stale slot's freed
+// chunk), and at thread exit only the live instances' slots go back.
+TEST(EpochGCCore, LocalSlotAcrossInstances) {
+  struct alignas(EpochGC) Cell {
+    unsigned char bytes[sizeof(EpochGC)];
+  };
+  constexpr int kGcs = 4;
+  std::unique_ptr<Cell[]> cells(new Cell[kGcs]);
+  EpochGC* gcs[kGcs];
+  for (int i = 0; i < kGcs; ++i) gcs[i] = new (&cells[i]) EpochGC();
+
+  EpochSlot* last[kGcs] = {};
+  std::thread([&] {
+    for (int i = 0; i < kGcs; ++i) last[i] = gcs[i]->LocalSlot();
+    EXPECT_EQ(std::set<EpochSlot*>(last, last + kGcs).size(),
+              static_cast<size_t>(kGcs));
+    for (int rep = 0; rep < 3; ++rep) {
+      for (int i = 0; i < kGcs; ++i) EXPECT_EQ(gcs[i]->LocalSlot(), last[i]);
+    }
+
+    // Two die and two are born at their addresses.
+    for (int i : {1, 3}) {
+      const uint64_t old_id = gcs[i]->instance_id();
+      gcs[i]->~EpochGC();
+      gcs[i] = new (&cells[i]) EpochGC();
+      ASSERT_NE(gcs[i]->instance_id(), old_id);
+      EpochSlot* slot = gcs[i]->LocalSlot();
+      EXPECT_TRUE(slot->in_use.load()) << "a fresh registration";
+      // The slot belongs to the newcomer: a pin on it holds back the
+      // newcomer's garbage.
+      std::atomic<int> freed{0};
+      gcs[i]->Enter(slot);
+      gcs[i]->Retire(&CountingFree, &freed, 8);
+      gcs[i]->Collect();
+      EXPECT_EQ(freed.load(), 0) << "the pin must be this GC's";
+      gcs[i]->Exit(slot);
+      gcs[i]->Collect();
+      EXPECT_EQ(freed.load(), 1);
+      EXPECT_EQ(gcs[i]->LocalSlot(), slot);
+      last[i] = slot;
+    }
+    // The survivors keep their slots through the misses' purges.
+    EXPECT_EQ(gcs[0]->LocalSlot(), last[0]);
+    EXPECT_EQ(gcs[2]->LocalSlot(), last[2]);
+
+    // One more dies after the last registration, so the thread exits
+    // with a dead instance still in its cache.
+    gcs[0]->~EpochGC();
+  }).join();
+
+  // Thread exit released the live instances' slots; a new thread gets
+  // each of them back (the first free slot of each table).
+  for (int i = 1; i < kGcs; ++i) {
+    EXPECT_FALSE(last[i]->in_use.load()) << "gc " << i;
+  }
+  std::thread([&] {
+    for (int i = 1; i < kGcs; ++i) EXPECT_EQ(gcs[i]->LocalSlot(), last[i]);
+  }).join();
+  for (int i = 1; i < kGcs; ++i) gcs[i]->~EpochGC();
 }
 
 // ASan coverage: destruction with garbage still pending must free both

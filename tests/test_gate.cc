@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <deque>
 #include <thread>
 #include <vector>
 
@@ -49,6 +50,25 @@ TEST(Gate, SecondWriterQueuesOntoActiveWriter) {
   // Gate is free again; a new writer owns it.
   EXPECT_EQ(g.WriterAccess(Ins(4), true), GateAccess::kOwner);
   g.WriterRelease();
+}
+
+// The batch-mode owner releases first and takes the queue only when the
+// release fails: a queued op makes WriterRelease keep the WRITE hold
+// (version still odd), so the take that follows returns exactly that op.
+TEST(Gate, BatchOwnerReleaseKeepsQueuedOps) {
+  Gate g(0, 0, 8);
+  ASSERT_EQ(g.WriterAccess(Ins(1), true), GateAccess::kOwner);
+  ASSERT_EQ(g.WriterAccess(Ins(2), true), GateAccess::kQueued);
+  EXPECT_FALSE(g.WriterRelease());
+  EXPECT_FALSE(SeqVersion::Stable(g.version().ReadBegin()))
+      << "a failed release must keep the mutation window open";
+  std::deque<GateOp> q = g.WriterTakeQueue();
+  ASSERT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.front().key, 2u);
+  EXPECT_TRUE(g.WriterRelease());
+  EXPECT_TRUE(SeqVersion::Stable(g.version().ReadBegin()));
+  EXPECT_EQ(g.WriterAccess(Ins(3), true), GateAccess::kOwner);
+  EXPECT_TRUE(g.WriterRelease());
 }
 
 TEST(Gate, SyncModeNeverQueues) {

@@ -27,6 +27,8 @@
 //    the fallback counter proves which path served the reads.
 //  - QuiescentReadsNeverFallBack: with no writers, every read must be
 //    served optimistically (fallback counter stays zero).
+//  - GateReadTallyExactAtQuiescence: the per-thread striped scan tally
+//    sums to exactly one read per gate per full pass.
 
 #include <gtest/gtest.h>
 
@@ -448,6 +450,52 @@ TEST(OptimisticRead, QuiescentReadsNeverFallBack) {
   // blocking path must never have been taken.
   EXPECT_EQ(pma.num_read_fallbacks(), 0u);
   EXPECT_GT(pma.num_optimistic_gate_reads(), 0u);
+}
+
+// The scan tally is striped per thread and summed on read, and the sum
+// is exact at quiescence: a full pass (SumAll or Scan) reads every gate
+// once, optimistically, so N threads running one pass each raise it by
+// exactly N x num_gates. Fresh threads every round walk the round-robin
+// stripe choice past the stripe count, so stripes are shared too.
+TEST(OptimisticRead, GateReadTallyExactAtQuiescence) {
+  ConcurrentPMA pma(SmallGateConfig(ConcurrentConfig::AsyncMode::kSync));
+  constexpr Key kN = 4096;
+  uint64_t value_sum = 0;
+  for (Key k = 1; k <= kN; ++k) {
+    pma.Insert(k, ValueFor(k));
+    value_sum += ValueFor(k);
+  }
+  pma.Flush();
+  const ConcurrentConfig& cfg = pma.config();
+  const uint64_t num_gates =
+      pma.capacity() / (cfg.pma.segment_capacity * cfg.segments_per_gate);
+  ASSERT_GT(num_gates, 2u);
+
+  constexpr int kThreads = 5;
+  constexpr int kRounds = 8;
+  for (int round = 0; round < kRounds; ++round) {
+    const uint64_t before = pma.num_optimistic_gate_reads();
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, round] {
+        if (round % 2 == 0) {
+          EXPECT_EQ(pma.SumAll(), value_sum);
+          return;
+        }
+        uint64_t count = 0;
+        pma.Scan(0, kKeyMax, [&](Key, Value) {
+          ++count;
+          return true;
+        });
+        EXPECT_EQ(count, kN);
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(pma.num_optimistic_gate_reads() - before,
+              kThreads * num_gates)
+        << "round " << round;
+  }
+  EXPECT_EQ(pma.num_read_fallbacks(), 0u);
 }
 
 TEST(OptimisticRead, EnvKnobOverridesConfig) {

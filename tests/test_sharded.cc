@@ -15,7 +15,8 @@
 //    key after an insert, nested scans, and the forced-fallback path
 //    delivering the same runs.
 //  - UpdateBatch*: block stamp reservation applies a producer-ordered
-//    run exactly like one-by-one issue (same-key runs: last op wins).
+//    run exactly like one-by-one issue (same-key runs: last op wins),
+//    also when the run spans resizes under its one epoch pin.
 //  - Coalescing*: staged ops are invisible until a size/age/Flush
 //    trigger; the age flusher bounds visibility lag without Flush().
 //  - FifoThroughCoalescing (storm, x3 async modes): the ISSUE 5 storm
@@ -316,6 +317,83 @@ TEST(UpdateBatch, AppliesAProducerOrderedRunExactly) {
   ASSERT_TRUE(pma.Find(9, &v));
   EXPECT_EQ(v, 90u);
   EXPECT_EQ(pma.Size(), 3u);
+}
+
+// One run spanning several resizes of a tiny shard. UpdateBatch pins
+// the epoch once for the run; an op that meets an invalidated gate
+// re-pins and restarts on the new structure. Every op must still land
+// in issue order (per key the last op wins), the structure must stay
+// valid under a concurrent Find/Scan reader, and the structures the
+// resizes retired must be freed once the run is over. Sync and
+// one-by-one writers wait for each resize, so those runs span several;
+// a batch-mode run never waits for the master and may queue most of
+// its ops before the master merges them, so there the resizes may fall
+// after the run.
+TEST(UpdateBatch, RunSpanningResizesKeepsFifo) {
+  using Mode = ConcurrentConfig::AsyncMode;
+  for (Mode mode : {Mode::kSync, Mode::kOneByOne, Mode::kBatch}) {
+    SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
+    ConcurrentPMA pma(TinyShard(mode));
+    constexpr size_t kOps = 4000;
+    constexpr Key kKeys = 1024;
+    Random rng(7 + static_cast<uint64_t>(mode));
+    std::vector<GateOp> ops;
+    std::map<Key, Value> model;
+    for (size_t i = 0; i < kOps; ++i) {
+      const Key k = 1 + rng.NextBounded(kKeys);
+      if (rng.NextBounded(4) == 0) {
+        ops.push_back({GateOp::Type::kRemove, k, 0, 0});
+        model.erase(k);
+      } else {
+        ops.push_back({GateOp::Type::kInsert, k, i + 1, 0});
+        model[k] = i + 1;
+      }
+    }
+
+    std::atomic<bool> stop{false};
+    std::thread reader([&] {
+      Random r(99);
+      while (!stop.load(std::memory_order_relaxed)) {
+        Value v = 0;
+        pma.Find(1 + r.NextBounded(kKeys), &v);
+        const Key lo = r.NextBounded(kKeys);
+        Key prev = 0;
+        bool first = true;
+        pma.Scan(lo, lo + 64, [&](Key k, Value) {
+          EXPECT_TRUE(first || k > prev) << "scan out of order";
+          first = false;
+          prev = k;
+          return true;
+        });
+      }
+    });
+    const uint64_t resizes_before = pma.num_resizes();
+    pma.UpdateBatch(ops.data(), ops.size());
+    if (mode != Mode::kBatch) {
+      EXPECT_GE(pma.num_resizes(), resizes_before + 3)
+          << "the run should span several resizes";
+    }
+    pma.Flush();
+    stop.store(true);
+    reader.join();
+    EXPECT_GT(pma.num_resizes(), resizes_before);
+
+    std::string err;
+    ASSERT_TRUE(pma.CheckInvariants(&err)) << err;
+    ASSERT_EQ(pma.Size(), model.size());
+    std::map<Key, Value> got;
+    pma.Scan(0, kKeyMax, [&](Key k, Value v) {
+      got[k] = v;
+      return true;
+    });
+    EXPECT_EQ(got, model) << "per key, the last op of the run must win";
+
+    EpochGC& gc = pma.epoch_gc();
+    gc.WaitForCollectorPasses(gc.CollectorPasses() + 2);
+    const EpochGCStats ebr = pma.ebr_stats();
+    EXPECT_GT(ebr.retired_count, 0u);
+    EXPECT_EQ(ebr.pending_count, 0u) << "retired structures must drain";
+  }
 }
 
 // ---------------------------------------------------------- coalescing
