@@ -57,11 +57,9 @@ BwTree::BwTree() : mapping_(kMappingSlots) {
   const uint64_t id = next_node_id_.fetch_add(1);
   mapping_[id].store(base, std::memory_order_release);
   routing_[kKeyMin] = id;
-  gc_.StartBackgroundCollector();
 }
 
 BwTree::~BwTree() {
-  gc_.StopBackgroundCollector();
   // Free all live chains; retired ones are freed by the GC destructor.
   const uint64_t n = next_node_id_.load();
   for (uint64_t id = 0; id < n; ++id) {

@@ -7,7 +7,9 @@
 //   * readers replay the delta chain before consulting the consolidated
 //     base node — which is exactly what makes scans expensive;
 //   * chains are consolidated into fresh base nodes once they exceed a
-//     threshold; replaced chains are reclaimed through epoch-based GC.
+//     threshold; replaced chains are reclaimed through epoch-based GC,
+//     collected inline by the writer whose retirement crosses a
+//     watermark (no collector thread; the rest is freed at destruction).
 //
 // Simplification (documented in DESIGN.md): routing from keys to node
 // ids uses a read-mostly std::map under a shared mutex, and structure

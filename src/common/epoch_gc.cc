@@ -1,9 +1,11 @@
 #include "common/epoch_gc.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <new>
+#include <thread>
 
 #include "common/failpoint.h"
 
@@ -17,7 +19,7 @@ namespace cpma {
 namespace {
 
 // Asymmetric heavy fence (hazard-pointer / RCU style): registering for
-// membarrier(PRIVATE_EXPEDITED) lets the collector interrupt every
+// membarrier(PRIVATE_EXPEDITED) lets a Collect() pass interrupt every
 // running thread of the process with a full barrier, so readers can
 // publish their epoch pins with plain release stores instead of paying
 // a seq_cst fence per operation. Values from <linux/membarrier.h>,
@@ -75,9 +77,6 @@ EpochGC::EpochGC(const Options& opts)
     : instance_id_(NextInstanceId()), opts_(opts) {
   if (opts_.count_watermark == 0) opts_.count_watermark = 1;
   if (opts_.bytes_watermark == 0) opts_.bytes_watermark = 1;
-  if (opts_.collector_period.count() <= 0) {
-    opts_.collector_period = std::chrono::milliseconds(10);
-  }
   size_t chunks =
       (std::max<size_t>(opts_.initial_threads, 1) + kSlotsPerChunk - 1) /
       kSlotsPerChunk;
@@ -91,7 +90,6 @@ EpochGC::EpochGC(const Options& opts)
 }
 
 EpochGC::~EpochGC() {
-  StopBackgroundCollector();
   // Free everything left; no clients may be active at destruction.
   CollectAll();
   {
@@ -160,18 +158,6 @@ EpochSlot* EpochGC::RegisterThread() {
   }
 }
 
-void EpochGC::Retire(std::function<void()> deleter, size_t bytes) {
-  auto* holder = new std::function<void()>(std::move(deleter));
-  if (bytes == 0) bytes = sizeof(std::function<void()>);
-  RetireImpl(
-      [](void* p) {
-        auto* fn = static_cast<std::function<void()>*>(p);
-        (*fn)();
-        delete fn;
-      },
-      holder, bytes);
-}
-
 void EpochGC::RetireImpl(void (*free_fn)(void*), void* object, size_t bytes) {
   EpochSlot* slot = LocalSlot();
   auto* node = new GarbageNode;
@@ -209,22 +195,11 @@ void EpochGC::RetireImpl(void (*free_fn)(void*), void* object, size_t bytes) {
   retired_count_.fetch_add(1, std::memory_order_relaxed);
   retired_bytes_.fetch_add(bytes, std::memory_order_relaxed);
 
+  // Watermark crossed: this thread runs the pass itself, so retired
+  // memory stays bounded whether or not the owner collects.
   if (local_count >= opts_.count_watermark ||
       local_bytes >= opts_.bytes_watermark) {
-    // Watermark crossed: advance (so this backlog becomes reclaimable the
-    // moment readers drain) and hand the drain to the collector thread,
-    // or do it inline when none is running.
-    TryAdvanceEpoch();
-    bool collector_running;
-    {
-      std::lock_guard<std::mutex> g(collector_mutex_);
-      collector_running = collector_.joinable();
-    }
-    if (collector_running) {
-      KickCollector();
-    } else {
-      Collect();
-    }
+    Collect();
   }
 }
 
@@ -258,6 +233,9 @@ uint64_t EpochGC::MinActiveEpoch() const {
 }
 
 size_t EpochGC::Collect() {
+  // Counted as the pass begins, so a Stats() that reads this pass's drop
+  // in pending_count (FreeDetached) also reads the pass.
+  collections_.fetch_add(1, std::memory_order_relaxed);
   // Opportunistic advance first so garbage stamped at the current epoch
   // becomes reclaimable in this very pass when no reader lags.
   TryAdvanceEpoch();
@@ -297,10 +275,14 @@ size_t EpochGC::Collect() {
     out_tail = last;
   });
 
+  return FreeDetached(out_head);
+}
+
+size_t EpochGC::FreeDetached(GarbageNode* head) {
   // Free outside every lock: deleters may be arbitrarily expensive
-  // (delta-chain walks, multi-MB snapshot frees).
+  // (delta-chain walks, multi-MB structure frees).
   size_t freed = 0, freed_bytes = 0;
-  for (GarbageNode* n = out_head; n != nullptr;) {
+  for (GarbageNode* n = head; n != nullptr;) {
     GarbageNode* next = n->next;
     n->free_fn(n->object);
     freed_bytes += n->bytes;
@@ -309,12 +291,13 @@ size_t EpochGC::Collect() {
     ++freed;
   }
   if (freed != 0) {
-    pending_count_.fetch_sub(freed, std::memory_order_relaxed);
-    pending_bytes_.fetch_sub(freed_bytes, std::memory_order_relaxed);
     freed_count_.fetch_add(freed, std::memory_order_relaxed);
     freed_bytes_.fetch_add(freed_bytes, std::memory_order_relaxed);
+    pending_bytes_.fetch_sub(freed_bytes, std::memory_order_relaxed);
+    // Last and release: a Stats() that reads the drop in pending_count
+    // also reads the freed totals above.
+    pending_count_.fetch_sub(freed, std::memory_order_release);
   }
-  collections_.fetch_add(1, std::memory_order_relaxed);
   return freed;
 }
 
@@ -335,27 +318,12 @@ size_t EpochGC::CollectAll() {
     s.limbo_count = 0;
     s.limbo_bytes = 0;
   });
-  size_t freed = 0, freed_bytes = 0;
-  for (GarbageNode* n = out_head; n != nullptr;) {
-    GarbageNode* next = n->next;
-    n->free_fn(n->object);
-    freed_bytes += n->bytes;
-    delete n;
-    n = next;
-    ++freed;
-  }
-  if (freed != 0) {
-    pending_count_.fetch_sub(freed, std::memory_order_relaxed);
-    pending_bytes_.fetch_sub(freed_bytes, std::memory_order_relaxed);
-    freed_count_.fetch_add(freed, std::memory_order_relaxed);
-    freed_bytes_.fetch_add(freed_bytes, std::memory_order_relaxed);
-  }
-  return freed;
+  return FreeDetached(out_head);
 }
 
 EpochGCStats EpochGC::Stats() const {
   EpochGCStats s;
-  s.pending_count = pending_count_.load(std::memory_order_relaxed);
+  s.pending_count = pending_count_.load(std::memory_order_acquire);
   s.pending_bytes = pending_bytes_.load(std::memory_order_relaxed);
   s.retired_count = retired_count_.load(std::memory_order_relaxed);
   s.retired_bytes = retired_bytes_.load(std::memory_order_relaxed);
@@ -366,68 +334,6 @@ EpochGCStats EpochGC::Stats() const {
   s.collections = collections_.load(std::memory_order_relaxed);
   s.global_epoch = global_epoch_.load(std::memory_order_relaxed);
   return s;
-}
-
-void EpochGC::StartBackgroundCollector(std::chrono::milliseconds period) {
-  std::lock_guard<std::mutex> g(collector_mutex_);
-  if (collector_.joinable()) return;
-  if (period.count() <= 0) period = opts_.collector_period;
-  collector_stop_ = false;
-  collector_kick_ = false;
-  collector_ = std::thread([this, period] {
-    std::unique_lock<std::mutex> lk(collector_mutex_);
-    while (!collector_stop_) {
-      collector_cv_.wait_for(lk, period, [this] {
-        return collector_stop_ || collector_kick_;
-      });
-      if (collector_stop_) break;
-      collector_kick_ = false;
-      lk.unlock();
-      Collect();
-      lk.lock();
-      ++collector_passes_;
-      pass_cv_.notify_all();
-    }
-  });
-}
-
-void EpochGC::StopBackgroundCollector() {
-  {
-    std::lock_guard<std::mutex> g(collector_mutex_);
-    if (!collector_.joinable()) return;
-    collector_stop_ = true;
-  }
-  collector_cv_.notify_all();
-  collector_.join();
-  std::lock_guard<std::mutex> g(collector_mutex_);
-  collector_ = std::thread();
-  pass_cv_.notify_all();
-}
-
-void EpochGC::KickCollector() {
-  {
-    std::lock_guard<std::mutex> g(collector_mutex_);
-    if (!collector_.joinable()) return;
-    collector_kick_ = true;
-  }
-  collector_cv_.notify_all();
-}
-
-uint64_t EpochGC::CollectorPasses() const {
-  std::lock_guard<std::mutex> g(collector_mutex_);
-  return collector_passes_;
-}
-
-void EpochGC::WaitForCollectorPasses(uint64_t target) {
-  std::unique_lock<std::mutex> lk(collector_mutex_);
-  CPMA_CHECK_MSG(collector_.joinable(),
-                 "WaitForCollectorPasses: background collector not running");
-  while (collector_passes_ < target) {
-    if (!collector_.joinable()) break;  // stopped mid-wait: best effort
-    collector_kick_ = true;
-    collector_cv_.notify_all();
-    pass_cv_.wait(lk);
-  }
 }
 
 }  // namespace cpma

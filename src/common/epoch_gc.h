@@ -1,4 +1,10 @@
-// Epoch-based reclamation (paper §3.4).
+// Epoch-based reclamation (paper §3.4). Passive: an EpochGC starts no
+// thread. The paper's "background thread, the garbage collector" is a
+// duty of the owner here, as in libnvram, whose caller runs
+// EpochScan/EpochFlush: ConcurrentPMA's rebalancer master runs Collect()
+// while garbage is pending (concurrent/rebalancer.h), and a retirement
+// that crosses a watermark collects inline on the retiring thread. With
+// nothing pending, nothing runs: no pass, no membarrier.
 //
 // Protocol — observe, don't advance. A client thread entering a logical
 // operation *observes* the global epoch and publishes it into its own
@@ -16,24 +22,26 @@
 // readers never bounce a shared line between cores. Epoch advancement is
 // decoupled from the operation path: `TryAdvanceEpoch` CASes global
 // E -> E+1 only when every active slot has caught up to E (bounding
-// reader skew to one epoch), and is driven by retire-side watermarks
-// plus the background collector — never by readers.
+// reader skew to one epoch), and is driven by Collect() passes — the
+// owner's and the watermark crossings' — never by readers.
 //
 // Retire side. Each registered thread owns a private limbo list of
 // intrusive `GarbageNode`s (one small node per retirement; no per-item
-// `std::function` allocation on the pointer path). A retiring thread
-// stamps the node with the current global epoch and appends it to its own
-// list; since the global epoch only grows, each list is sorted by epoch
-// and the collector drains a prefix. Both a count watermark and a bytes
-// watermark (`Retire(ptr, bytes)`) trigger advancement + collection, so
-// retired memory is bounded even when retirements are few but huge
-// (snapshot retirement during resize) or many but tiny (BwTree deltas).
+// allocation beyond it). A retiring thread stamps the node with the
+// current global epoch and appends it to its own list; since the global
+// epoch only grows, each list is sorted by epoch and a pass drains a
+// prefix. Both a count watermark and a bytes watermark
+// (`Retire(ptr, bytes)`) make the retiring thread collect, so retired
+// memory is bounded even with no owner pass: when retirements are few
+// but huge (a resize retiring a whole structure) or many but tiny
+// (BwTree deltas).
 //
 // Reclamation safety — the memory-ordering argument. Garbage stamped with
 // epoch `e` is freed only when `min_active > e`, where `min_active` is
 // the minimum over the global epoch and every non-idle slot epoch, and
-// the collector executes a HEAVY fence before scanning slots. Consider a
-// reader R and an unlinking writer W racing on object O:
+// each Collect() pass executes a HEAVY fence before scanning slots.
+// Consider a reader R and an unlinking writer W racing on object O,
+// and a pass C on any thread:
 //
 //   R: slot.store(e, release);  ... p = load pointer to O ...
 //   W: unlink O; fence(seq_cst); stamp = global.load(seq_cst); retire(O)
@@ -49,13 +57,13 @@
 // visible before C reached the fence: W's retire and C's drain
 // synchronize on the slot's limbo mutex), so R reads the new pointer and
 // never dereferences O. Either way no freed memory is reachable. The
-// reader pays nothing; the collector pays one syscall per pass. Where
-// membarrier is unavailable, Enter falls back to a seq_cst publish and
-// the collector to a seq_cst fence, and the same argument runs through
-// the seq_cst total order S. Because `TryAdvanceEpoch` only moves
-// E -> E+1 when every active slot is at E, a reader pinned at e keeps
-// `min_active == e` and wedges nothing newer: garbage stamped < e still
-// drains, and garbage stamped >= e drains as soon as the reader exits.
+// reader pays nothing; a pass pays one syscall. Where membarrier is
+// unavailable, Enter falls back to a seq_cst publish and a pass to a
+// seq_cst fence, and the same argument runs through the seq_cst total
+// order S. Because `TryAdvanceEpoch` only moves E -> E+1 when every
+// active slot is at E, a reader pinned at e keeps `min_active == e` and
+// wedges nothing newer: garbage stamped < e still drains, and garbage
+// stamped >= e drains at the first pass after the reader exits.
 //
 // Threads and slots. Slots live in pointer-stable chunks; registration
 // beyond the preallocated capacity grows the chunk table (no abort, no
@@ -67,20 +75,17 @@
 // liveness set, so a pin stays a cache walk, a load and a store even
 // for a thread that works on many GC instances (a sharded fleet).
 //
-// Knobs: EpochGC::Options (per-thread count and byte watermarks that
-// trigger advance+collect, background collector period).
+// Knobs: EpochGC::Options (slots preallocated, and the per-thread count
+// and byte watermarks that make a retirement collect inline). How often
+// the owner collects is the owner's choice.
 
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <mutex>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -102,9 +107,9 @@ struct GarbageNode {
 
 /// Per-thread registration slot. The epoch word readers publish into sits
 /// alone on its own cacheline (no false sharing between client threads,
-/// and the owner's limbo-list traffic never dirties the line the
-/// collector scans). The limbo list is owner-appended / collector-drained
-/// under a per-slot mutex that is uncontended in steady state.
+/// and the owner's limbo-list traffic never dirties the line a pass
+/// scans). The limbo list is owner-appended / pass-drained under a
+/// per-slot mutex that is uncontended in steady state.
 struct alignas(64) EpochSlot {
   // kIdle when the thread is not inside an operation.
   static constexpr uint64_t kIdle = UINT64_MAX;
@@ -144,12 +149,9 @@ class EpochGC {
     size_t count_watermark = 512;
     /// Per-thread pending retired bytes that trigger advance + collect.
     size_t bytes_watermark = size_t{8} << 20;  // 8 MiB
-    /// Background collector wake period.
-    std::chrono::milliseconds collector_period{10};
   };
 
-  /// Zero watermarks and a non-positive period are clamped to usable
-  /// values.
+  /// Zero watermarks are clamped to 1.
   explicit EpochGC(const Options& opts);
   EpochGC() : EpochGC(Options{}) {}
   ~EpochGC();
@@ -170,7 +172,7 @@ class EpochGC {
   EpochSlot* RegisterThread();
 
   /// Release a slot for reuse. Pending garbage in its limbo list stays
-  /// and is drained by the collector as epochs pass.
+  /// and is drained by later passes as epochs pass.
   void UnregisterThread(EpochSlot* slot) {
     slot->epoch.store(EpochSlot::kIdle, std::memory_order_release);
     slot->in_use.store(false, std::memory_order_release);
@@ -220,9 +222,9 @@ class EpochGC {
 
   /// Observe the current epoch and publish it in the slot: one load plus
   /// one release store to the thread's own cacheline — no shared-line
-  /// RMW, and no fence when the collector's membarrier discharges the
-  /// ordering (see the protocol comment; without membarrier the publish
-  /// must be seq_cst so the collector's plain fence orders against it).
+  /// RMW, and no fence when a pass's membarrier discharges the ordering
+  /// (see the protocol comment; without membarrier the publish must be
+  /// seq_cst so the pass's plain fence orders against it).
   uint64_t Enter(EpochSlot* slot) {
     const uint64_t e = global_epoch_.load(std::memory_order_acquire);
     if (kAsymmetricFence) {
@@ -239,7 +241,8 @@ class EpochGC {
 
   /// Retire a heap object for `delete` once no client can still hold a
   /// reference. `bytes` feeds the bytes watermark; pass a better estimate
-  /// than sizeof(T) when the object owns external memory.
+  /// than sizeof(T) when the object owns external memory. A retirement
+  /// that crosses a watermark runs Collect() on the calling thread.
   template <typename T>
   void Retire(T* ptr, size_t bytes = sizeof(T)) {
     static_assert(!std::is_void<T>::value,
@@ -253,12 +256,9 @@ class EpochGC {
     RetireImpl(free_fn, object, bytes);
   }
 
-  /// Retire an arbitrary deleter. Allocates a std::function holder —
-  /// keep off hot paths; prefer the pointer overloads.
-  void Retire(std::function<void()> deleter, size_t bytes = 0);
-
-  /// Advance + drain every per-thread limbo prefix older than the min
-  /// active epoch. Returns the number of items freed.
+  /// One pass: advance + drain every per-thread limbo prefix older than
+  /// the min active epoch. Never waits for a reader. Safe on any thread,
+  /// concurrently with other passes. Returns the number of items freed.
   size_t Collect();
 
   /// Free everything unconditionally (destruction path).
@@ -276,29 +276,6 @@ class EpochGC {
 
   uint64_t MinActiveEpoch() const;
 
-  /// Start the periodic collector thread (paper: "a background thread,
-  /// the garbage collector, runs periodically"). Zero period uses the
-  /// configured (or env-overridden) default.
-  void StartBackgroundCollector(
-      std::chrono::milliseconds period = std::chrono::milliseconds(0));
-
-  void StopBackgroundCollector();
-
-  /// Wake the background collector now (watermark crossings use this so
-  /// a parked reader's backlog is drained the moment it exits).
-  void KickCollector();
-
-  /// Completed background collector passes. Pair with
-  /// WaitForCollectorPasses for deterministic tests: read p = passes(),
-  /// retire, then WaitForCollectorPasses(p + 2) — the +2 covers a pass
-  /// that was mid-flight (and may have missed the retirement) when it
-  /// was read.
-  uint64_t CollectorPasses() const;
-
-  /// Block until the collector has completed `target` passes, kicking it
-  /// as needed. Requires a running background collector.
-  void WaitForCollectorPasses(uint64_t target);
-
  private:
   // Slots live in fixed-size chunks that are allocated once and never
   // moved, so EpochSlot* stays valid across growth (satellite of ISSUE 6:
@@ -314,13 +291,15 @@ class EpochGC {
   static uint64_t NextInstanceId();
 
   /// True when membarrier(PRIVATE_EXPEDITED) registered successfully at
-  /// process start: readers publish with plain release stores and the
-  /// collector issues the heavy fence. Written once before main.
+  /// process start: readers publish with plain release stores and each
+  /// pass runs the heavy fence. Written once before main.
   static const bool kAsymmetricFence;
   /// membarrier(PRIVATE_EXPEDITED) when available, else a seq_cst fence.
   static void HeavyFence();
 
   void RetireImpl(void (*free_fn)(void*), void* object, size_t bytes);
+  /// Free a detached garbage list and account for it in the stats.
+  size_t FreeDetached(GarbageNode* head);
   EpochSlot* TryClaimSlot();
 
   template <typename Fn>
@@ -360,14 +339,6 @@ class EpochGC {
   std::atomic<uint64_t> freed_bytes_{0};
   std::atomic<uint64_t> epoch_advances_{0};
   std::atomic<uint64_t> collections_{0};
-
-  mutable std::mutex collector_mutex_;
-  std::condition_variable collector_cv_;  // collector wake (stop/kick)
-  std::condition_variable pass_cv_;       // WaitForCollectorPasses waiters
-  std::thread collector_;
-  bool collector_stop_ = false;
-  bool collector_kick_ = false;
-  uint64_t collector_passes_ = 0;
 };
 
 /// RAII epoch scope for one logical operation.

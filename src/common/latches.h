@@ -1,7 +1,6 @@
 // Latch primitives used across the library.
 //
-// - SpinLock: tiny test-and-test-and-set lock for very short critical
-//   sections (baseline internals, free lists).
+// - CpuRelax: the pause in every spin-wait loop (these latches, gates).
 // - SeqVersion: sequence-lock version word for the gates' optimistic
 //   read path (§3.1 extension, ISSUE 4). Unlike OptimisticLock below it
 //   carries no lock/obsolete bits — the gate's mutex-based state machine
@@ -21,35 +20,14 @@
 
 namespace cpma {
 
-class SpinLock {
- public:
-  void lock() {
-    for (;;) {
-      if (!flag_.exchange(true, std::memory_order_acquire)) return;
-      while (flag_.load(std::memory_order_relaxed)) {
-        CpuRelax();
-      }
-    }
-  }
-
-  bool try_lock() {
-    return !flag_.load(std::memory_order_relaxed) &&
-           !flag_.exchange(true, std::memory_order_acquire);
-  }
-
-  void unlock() { flag_.store(false, std::memory_order_release); }
-
-  static void CpuRelax() {
+/// Spin-wait hint: PAUSE on x86, a yield elsewhere.
+inline void CpuRelax() {
 #if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
+  __builtin_ia32_pause();
 #else
-    std::this_thread::yield();
+  std::this_thread::yield();
 #endif
-  }
-
- private:
-  std::atomic<bool> flag_{false};
-};
+}
 
 /// Sequence-lock version word (ISSUE 4): even = no mutator, odd = a
 /// mutator (gate writer or rebalancer master) owns the protected data.
@@ -118,7 +96,7 @@ class FairSharedMutex {
                                        std::memory_order_acquire)) {
         break;
       }
-      SpinLock::CpuRelax();
+      CpuRelax();
     }
     // Wait for readers and any active writer to drain, then activate.
     for (;;) {
@@ -128,7 +106,7 @@ class FairSharedMutex {
                                        std::memory_order_acquire)) {
         return;
       }
-      SpinLock::CpuRelax();
+      CpuRelax();
     }
   }
 
@@ -142,7 +120,7 @@ class FairSharedMutex {
                                        std::memory_order_acquire)) {
         return;
       }
-      SpinLock::CpuRelax();
+      CpuRelax();
     }
   }
 
@@ -218,7 +196,7 @@ class OptimisticLock {
   uint64_t AwaitUnlocked() const {
     uint64_t v = version_.load(std::memory_order_acquire);
     while (v & kLockedBit) {
-      SpinLock::CpuRelax();
+      CpuRelax();
       v = version_.load(std::memory_order_acquire);
     }
     return v;

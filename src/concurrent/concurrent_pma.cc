@@ -108,7 +108,6 @@ ConcurrentPMA::ConcurrentPMA(const ConcurrentConfig& config) : cfg_(config) {
       std::memory_order_release);
   rebalancer_ = std::make_unique<Rebalancer>(this);
   rebalancer_->Start();
-  gc_.StartBackgroundCollector();
 }
 
 ConcurrentPMA::~ConcurrentPMA() {
@@ -118,7 +117,7 @@ ConcurrentPMA::~ConcurrentPMA() {
   rebalancer_->Stop();
   rebalancer_.reset();
   delete structure_.load(std::memory_order_acquire);
-  // gc_'s destructor frees snapshots retired by resizes.
+  // gc_'s destructor frees retired structures no pass has freed yet.
 }
 
 std::unique_ptr<Structure> ConcurrentPMA::BuildStructure(
@@ -207,6 +206,7 @@ void ConcurrentPMA::PublishLoaded(std::unique_ptr<Structure> loaded,
   Structure* old = structure_.load(std::memory_order_acquire);
   for (Gate& gate : old->gates) gate.MasterAcquire();
   PublishStructure(old, std::move(loaded), n);
+  rebalancer_->NotifyRetired();  // the master reclaims `old`
 }
 
 size_t ConcurrentPMA::capacity() const {

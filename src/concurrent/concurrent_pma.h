@@ -245,13 +245,10 @@ class ConcurrentPMA : public OrderedMap {
   int optimistic_retries() const { return optimistic_retries_; }
 
   /// Epoch-reclamation counters (§3.4): pending/retired/freed garbage,
-  /// retired-bytes high-water mark, epoch advances, collector passes.
-  /// Surfaced into bench JSON and the nightly soak artifact.
+  /// retired-bytes high-water mark, epoch advances, and collection
+  /// passes (the master's, while garbage is pending, and watermark
+  /// crossings'). Surfaced into bench JSON and the nightly soak artifact.
   EpochGCStats ebr_stats() const { return gc_.Stats(); }
-
-  /// Direct access to the reclamation subsystem (tests: parked-reader
-  /// soaks drive Collect() and the collector stepping hooks).
-  EpochGC& epoch_gc() const { return gc_; }
 
   /// The system page size, the mapping granularity of the storage.
   size_t storage_page_bytes() const;
@@ -492,8 +489,9 @@ class ConcurrentPMA : public OrderedMap {
   mutable TallyStripe stat_optimistic_gate_reads_[kTallyStripes];
   void AddOptimisticGateReads(uint64_t n) const;
 
-  // Cache-line aligned by its slots; only the collector and retirements
-  // write its shared fields.
+  // Cache-line aligned by its slots; only retirements and collection
+  // passes write its shared fields. Passive: the rebalancer master
+  // drives its passes (rebalancer.h).
   mutable EpochGC gc_;
 
   // Background-error surface (ISSUE 7).

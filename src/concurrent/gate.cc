@@ -61,7 +61,7 @@ GateAccess Gate::WriterAccess(const GateOp& op, bool allow_queue) {
     if (spins < kSpinRounds) {
       lk.unlock();
       while (spins < kSpinRounds) {
-        for (int i = 0; i < kPollsPerRound; ++i) SpinLock::CpuRelax();
+        for (int i = 0; i < kPollsPerRound; ++i) CpuRelax();
         ++spins;
         if (WriterPollActionable(op.key, allow_queue)) break;
       }
@@ -91,7 +91,7 @@ GateAccess Gate::ReaderAccess(const Key* key) {
     if (spins < kSpinRounds) {
       lk.unlock();
       while (spins < kSpinRounds) {
-        for (int i = 0; i < kPollsPerRound; ++i) SpinLock::CpuRelax();
+        for (int i = 0; i < kPollsPerRound; ++i) CpuRelax();
         ++spins;
         if (ReaderPollActionable(key)) break;
       }

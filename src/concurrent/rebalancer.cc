@@ -13,6 +13,13 @@
 
 namespace cpma {
 
+namespace {
+
+// While garbage is pending, the master runs one EpochGC pass this often.
+constexpr int64_t kCollectPeriodMs = 10;
+
+}  // namespace
+
 std::vector<BatchEntry> CanonicalizeBatch(const std::deque<GateOp>& ops) {
   // Per-key winner = highest enqueue stamp (ISSUE 5), output sorted by
   // key. Inside one queue arrival order tracks stamp order per
@@ -177,6 +184,13 @@ void Rebalancer::RequestShrink(uint64_t version) {
   cv_.notify_all();
 }
 
+void Rebalancer::NotifyRetired() {
+  // Under m_: the master is either before its PendingGarbage() check,
+  // and sees the retirement, or waiting, and gets the notify.
+  std::lock_guard<std::mutex> lk(m_);
+  cv_.notify_all();
+}
+
 void Rebalancer::Drain() {
   std::unique_lock<std::mutex> lk(m_);
   if (!master_.joinable()) return;
@@ -195,6 +209,7 @@ bool Rebalancer::Idle() {
 
 void Rebalancer::MasterLoop() {
   std::unique_lock<std::mutex> lk(m_);
+  int64_t collect_due = INT64_MAX;  // armed while garbage is pending
   for (;;) {
     // Promote due deferred batches.
     const int64_t now = NowMillis();
@@ -208,6 +223,22 @@ void Rebalancer::MasterLoop() {
         ++it;
       }
     }
+    // Reclaim what resizes and loads retired: one pass per period while
+    // anything is pending, checked between requests so a busy master
+    // still collects. The pass runs without m_, and processing_ stays
+    // clear, so Drain() and Idle() never wait on it.
+    if (pma_->gc_.PendingGarbage() == 0) {
+      collect_due = INT64_MAX;
+    } else if (collect_due == INT64_MAX) {
+      collect_due = now + kCollectPeriodMs;
+    } else if (collect_due <= now) {
+      lk.unlock();
+      pma_->gc_.Collect();
+      lk.lock();
+      collect_due = INT64_MAX;
+      continue;
+    }
+    next_due = std::min(next_due, collect_due);
     if (!ready_.empty()) {
       Request req = ready_.front();
       ready_.pop_front();

@@ -25,6 +25,15 @@
 // validates — the master rebuilds storage, gates and index at the new
 // capacity, publishes the new snapshot, and retires the old one through
 // the epoch GC (§3.4), waking all clients parked on old gates.
+//
+// The master is also the PMA's garbage collector (§3.4): the EpochGC is
+// passive, and while it holds pending garbage the master runs one
+// Collect() pass every kCollectPeriodMs (10 ms), between requests. With
+// nothing pending it runs none, so an idle PMA makes no membarrier call. A
+// retirement made on another thread (a LoadSorted publish) wakes it via
+// NotifyRetired(). A pass never waits for a reader, and it is not
+// rebalancer work: Drain() and Idle() do not wait for garbage that a
+// parked reader pins.
 
 #pragma once
 
@@ -77,6 +86,10 @@ class Rebalancer {
   /// Writer -> master (fire and forget): global density dropped below
   /// the shrink threshold; master re-validates before resizing.
   void RequestShrink(uint64_t version);
+
+  /// Any thread but the master, after an EpochGC retirement: wake the
+  /// master so its reclamation passes start.
+  void NotifyRetired();
 
   /// Process everything immediately (deferred batches included, except
   /// resize-failure retries, which keep their backoff) and wait until

@@ -87,21 +87,11 @@ PMASnapshot::~PMASnapshot() {
     auto& v = pma_->open_snaps_;
     v.erase(std::find(v.begin(), v.end(), this));
   }
-  // The heap entries go through the byte-accounted limbo lists like any
-  // other retired structure — a parked reader pinning a large snapshot
-  // trips the bytes watermark, not the count one.
-  GateSnap** entries = new GateSnap*[num_gates_];
+  // Deregistered: PreserveGateSlow no longer reaches the pre-images, and
+  // no reader of this snapshot runs any more, so they go now.
   for (size_t g = 0; g < num_gates_; ++g) {
-    entries[g] = entries_[g].load(std::memory_order_relaxed);
+    delete entries_[g].load(std::memory_order_relaxed);
   }
-  const size_t n = num_gates_;
-  pma_->gc_.Retire(
-      [entries, n] {
-        for (size_t g = 0; g < n; ++g) delete entries[g];
-        delete[] entries;
-      },
-      retained_bytes_.load(std::memory_order_relaxed));
-  entries_.reset();
   pma_->gc_.Exit(slot_);
   pma_->gc_.UnregisterThread(slot_);
   pma_->snapshots_open_.fetch_sub(1, std::memory_order_relaxed);

@@ -27,9 +27,10 @@
 // that preserved + mutated + released entirely inside the read window
 // wins, and its entry is used instead.
 //
-// Destruction deregisters the snapshot, retires the GateSnap entries
-// through the epoch GC's byte-accounted limbo lists, and only then
-// releases the epoch pin that kept the Structure alive.
+// Destruction deregisters the snapshot, which leaves its GateSnap
+// entries unreachable (only PreserveGateSlow, under snaps_mu_, and the
+// snapshot's own readers reach them), frees them in place, and only
+// then releases the epoch pin that kept the Structure alive.
 
 #pragma once
 

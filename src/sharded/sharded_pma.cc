@@ -6,11 +6,12 @@
 #include <cstdlib>
 #include <functional>
 #include <queue>
+#include <system_error>
 #include <unordered_map>
 #include <utility>
 
+#include "common/failpoint.h"
 #include "common/pin.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "concurrent/event_ring.h"
 
@@ -402,22 +403,35 @@ Status ShardedPMA::LoadSorted(const Item* items, size_t n) {
   // parallel, each one shard's spread into fresh memory: on perfbench
   // ingest_ckpt (4 shards, 4 vCPUs) restore_s fell from 0.20 to 0.13 s
   // against building the shards one after another.
+  //
+  // The caller and up to min(shards, CPUs) - 1 helper threads take shard
+  // indices from one counter. A helper that cannot be spawned
+  // (std::system_error, or the sharded.load_spawn failpoint) leaves its
+  // share to the others; with no helper the caller builds every shard.
   std::vector<std::unique_ptr<Structure>> built(num);
   std::vector<Status> build_status(num);
-  {
-    ThreadPool pool(std::min<size_t>(
-        num, std::max(1u, std::thread::hardware_concurrency())));
-    WaitGroup wg;
-    wg.Add(static_cast<int>(num));
-    for (size_t s = 0; s < num; ++s) {
-      pool.Submit([&, s] {
-        build_status[s] =
-            shards_[s]->BuildLoaded(runs[s].first, runs[s].second, &built[s]);
-        wg.Done();
-      });
+  std::atomic<size_t> next_shard{0};
+  const auto build = [&] {
+    for (size_t s; (s = next_shard.fetch_add(1)) < num;) {
+      build_status[s] =
+          shards_[s]->BuildLoaded(runs[s].first, runs[s].second, &built[s]);
     }
-    wg.Wait();
+  };
+  const size_t helpers =
+      std::min<size_t>(num, std::max(1u, std::thread::hardware_concurrency())) -
+      1;
+  std::vector<std::thread> threads;
+  threads.reserve(helpers);
+  for (size_t i = 0; i < helpers; ++i) {
+    if (CPMA_FAILPOINT("sharded.load_spawn")) continue;
+    try {
+      threads.emplace_back(build);
+    } catch (const std::system_error&) {
+      // Its shards go to the builders that did start.
+    }
   }
+  build();
+  for (std::thread& t : threads) t.join();
   for (const Status& st : build_status) {
     if (!st.ok()) return st;
   }

@@ -19,6 +19,7 @@
 #include "common/zipf.h"
 #include "concurrent/concurrent_pma.h"
 #include "concurrent/rebalancer.h"
+#include "ebr_wait.h"
 #include "sharded/sharded_pma.h"
 
 namespace cpma {
@@ -97,8 +98,8 @@ int TaskCount() { return ProcEntries("/proc/self/task"); }
 int FdCount() { return ProcEntries("/proc/self/fd"); }
 
 TEST(ConcurrentPma, StartsNoIdleRebalancerThreads) {
-  // The rebalancer master merges every window alone, so a PMA runs two
-  // background threads: the master and the EBR collector.
+  // The rebalancer master merges every window alone and drives the
+  // PMA's epoch reclamation, so a PMA runs one background thread.
   if (TaskCount() < 0) GTEST_SKIP() << "/proc/self/task is not readable";
   if (std::getenv("CPMA_WATCHDOG_MS") != nullptr) {
     GTEST_SKIP() << "CPMA_WATCHDOG_MS may start the watchdog thread";
@@ -106,7 +107,7 @@ TEST(ConcurrentPma, StartsNoIdleRebalancerThreads) {
   const int base = TaskCount();
   {
     ConcurrentPMA pma;  // default config: the watchdog is off
-    EXPECT_EQ(TaskCount() - base, 2);
+    EXPECT_EQ(TaskCount() - base, 1);
   }
   // A joined thread can stay listed for a moment after join() returns.
   const auto deadline =
@@ -115,7 +116,22 @@ TEST(ConcurrentPma, StartsNoIdleRebalancerThreads) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ShardedPMA sharded;  // default fleet: 4 shards, no coalescing ager
-  EXPECT_EQ(TaskCount() - base, 2 * static_cast<int>(sharded.num_shards()));
+  EXPECT_EQ(TaskCount() - base, static_cast<int>(sharded.num_shards()));
+}
+
+TEST(ConcurrentPma, IdleRunsNoCollectionPasses) {
+  // Reclamation runs only while garbage is pending: once the master has
+  // freed what the resizes retired, an idle PMA runs no pass (and so
+  // makes no membarrier call).
+  ConcurrentPMA pma;
+  for (Key k = 1; k <= 20000; ++k) pma.Insert(k, k);
+  pma.Flush();
+  ASSERT_GT(pma.num_resizes(), 0u);
+  ASSERT_EQ(AwaitNoPendingGarbage(pma).pending_count, 0u);
+  const uint64_t before = pma.ebr_stats().collections;
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(pma.ebr_stats().collections, before)
+      << "an idle PMA with nothing pending must not collect";
 }
 
 TEST(ConcurrentPma, HoldsNoFileDescriptors) {

@@ -3,7 +3,8 @@
 // degrade — never abort, never lose data:
 //
 //   storage    TryCreate surfaces ResourceExhausted instead of aborting
-//   threadpool spawn failures run the pool degraded (inline at worst)
+//   sharded    a fleet LoadSorted whose helper threads fail to spawn
+//              builds their shards on the others (the caller at worst)
 //   epoch_gc   slot-chunk allocation failure installs the emergency
 //              reserve chunk; registration still succeeds
 //   rebalancer resize allocation failure retries, degrades, and on
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -26,9 +28,9 @@
 
 #include "common/epoch_gc.h"
 #include "common/failpoint.h"
-#include "common/thread_pool.h"
 #include "concurrent/concurrent_pma.h"
 #include "pma/storage.h"
+#include "sharded/sharded_pma.h"
 
 namespace cpma {
 namespace {
@@ -60,44 +62,53 @@ TEST_F(FaultInjectionTest, StorageTryCreateSurfacesStatus) {
   EXPECT_EQ(storage->num_segments(), 8u);
 }
 
-// ----------------------------------------------------------- threadpool
+// -------------------------------------------------------- sharded load
 
-TEST_F(FaultInjectionTest, ThreadPoolRunsInlineWhenNoThreadSpawns) {
-  ASSERT_TRUE(failpoint::Set("threadpool.spawn", "always"));
-  ThreadPool pool(3);
-  failpoint::Clear("threadpool.spawn");
-  EXPECT_EQ(pool.num_threads(), 0u);
-  EXPECT_EQ(pool.num_spawn_failures(), 3u);
-  // Submit must still execute the task (inline on the caller).
-  std::atomic<int> ran{0};
-  WaitGroup wg;
-  wg.Add(4);
-  for (int i = 0; i < 4; ++i) {
-    pool.Submit([&] {
-      ran.fetch_add(1);
-      wg.Done();
-    });
+// A 4-shard fleet's LoadSorted builds the shards on the caller plus
+// min(4, CPUs) - 1 helper threads; the spawn failpoint makes helpers
+// fail to start. Whatever spawned, the fleet must hold exactly the run.
+void LoadFourShardsExactly() {
+  ShardedConfig cfg;
+  cfg.num_shards = 4;
+  cfg.partition = ShardedConfig::Partition::kHash;  // every shard gets keys
+  ShardedPMA fleet(cfg);
+  std::vector<Item> items;
+  for (Key k = 1; k <= 20000; ++k) items.push_back({k * 7919, k});
+  ASSERT_TRUE(fleet.LoadSorted(items.data(), items.size()).ok());
+  for (size_t s = 0; s < fleet.num_shards(); ++s) {
+    std::string err;
+    EXPECT_TRUE(fleet.shard(s).CheckInvariants(&err)) << "shard " << s << err;
+    EXPECT_GT(fleet.shard(s).Size(), 0u) << "shard " << s;
   }
-  wg.Wait();
-  EXPECT_EQ(ran.load(), 4);
+  std::vector<Item> got;
+  fleet.Scan(kKeyMin, kKeyMax, [&](Key k, Value v) {
+    got.push_back({k, v});
+    return true;
+  });
+  ASSERT_EQ(got.size(), items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    ASSERT_EQ(got[i].key, items[i].key) << "item " << i;
+    ASSERT_EQ(got[i].value, items[i].value) << "item " << i;
+  }
 }
 
-TEST_F(FaultInjectionTest, ThreadPoolRunsDegradedOnPartialSpawn) {
-  ASSERT_TRUE(failpoint::Set("threadpool.spawn", "times:1"));
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.num_threads(), 2u);
-  EXPECT_EQ(pool.num_spawn_failures(), 1u);
-  std::atomic<int> ran{0};
-  WaitGroup wg;
-  wg.Add(8);
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&] {
-      ran.fetch_add(1);
-      wg.Done();
-    });
-  }
-  wg.Wait();
-  EXPECT_EQ(ran.load(), 8);
+size_t LoadHelpers() {
+  return std::min<size_t>(4, std::max(1u, std::thread::hardware_concurrency())) -
+         1;
+}
+
+TEST_F(FaultInjectionTest, LoadSortedBuildsInlineWhenNoThreadSpawns) {
+  ASSERT_TRUE(failpoint::Set("sharded.load_spawn", "always"));
+  LoadFourShardsExactly();
+  EXPECT_EQ(failpoint::Fires("sharded.load_spawn"), LoadHelpers())
+      << "every helper spawn must fail: the caller builds all four";
+}
+
+TEST_F(FaultInjectionTest, LoadSortedBuildsOnPartialSpawn) {
+  ASSERT_TRUE(failpoint::Set("sharded.load_spawn", "times:1"));
+  LoadFourShardsExactly();
+  EXPECT_EQ(failpoint::Fires("sharded.load_spawn"),
+            std::min<size_t>(1, LoadHelpers()));
 }
 
 // ------------------------------------------------------------- epoch GC

@@ -53,6 +53,7 @@
 #include "common/pin.h"
 #include "common/random.h"
 #include "concurrent/concurrent_pma.h"
+#include "ebr_wait.h"
 #include "sharded/sharded_pma.h"
 
 namespace cpma {
@@ -388,9 +389,7 @@ TEST(UpdateBatch, RunSpanningResizesKeepsFifo) {
     });
     EXPECT_EQ(got, model) << "per key, the last op of the run must win";
 
-    EpochGC& gc = pma.epoch_gc();
-    gc.WaitForCollectorPasses(gc.CollectorPasses() + 2);
-    const EpochGCStats ebr = pma.ebr_stats();
+    const EpochGCStats ebr = AwaitNoPendingGarbage(pma);
     EXPECT_GT(ebr.retired_count, 0u);
     EXPECT_EQ(ebr.pending_count, 0u) << "retired structures must drain";
   }

@@ -39,6 +39,7 @@
 #include "common/random.h"
 #include "common/timer.h"
 #include "concurrent/concurrent_pma.h"
+#include "ebr_wait.h"
 
 namespace cpma {
 namespace {
@@ -175,6 +176,10 @@ TEST_P(StressSoak, MixedChurnKeepsInvariants) {
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : readers) t.join();
   pma.Flush();
+  // Reclamation never strands garbage: with the storm over and nothing
+  // calling Collect(), the master's passes free every retired structure.
+  EXPECT_EQ(AwaitNoPendingGarbage(pma).pending_count, 0u)
+      << "retired structures still pending 1 s after the final Flush";
 
   std::string err;
   ASSERT_TRUE(pma.CheckInvariants(&err)) << err;
@@ -238,8 +243,8 @@ uint64_t ChaosSeed() {
 // Sites the conductor may arm mid-run. All are recoverable-by-design
 // under finite policies: storage faults run the resize ladder, slot-chunk
 // faults fall back to the reserve chunk, the stall only delays.
-// threadpool.spawn is excluded — it only fires during construction,
-// before the storm.
+// sharded.load_spawn is excluded — it only fires in a fleet's
+// LoadSorted, which the storm never runs.
 constexpr const char* kChaosSites[] = {
     "storage.create",
     "rebalancer.stall",
