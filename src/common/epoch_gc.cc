@@ -1,11 +1,13 @@
 #include "common/epoch_gc.h"
 
-#include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
-#include <cstring>
+#include <functional>
 #include <new>
+#include <queue>
 #include <thread>
+#include <vector>
 
 #include "common/failpoint.h"
 
@@ -36,6 +38,34 @@ bool RegisterAsymmetricFence() {
 bool RegisterAsymmetricFence() { return false; }
 #endif
 
+// The free numbers, lowest first, so numbers stay dense and a released
+// one is the next one handed out. Leaked on purpose: a thread that exits
+// after static destruction still gives its number back.
+struct SlotIndexPool {
+  std::mutex mu;
+  std::condition_variable released;
+  std::priority_queue<size_t, std::vector<size_t>, std::greater<size_t>>
+      free;
+  size_t next = 0;  // numbers below it have been handed out
+};
+
+SlotIndexPool& ThePool() {
+  static SlotIndexPool* pool = new SlotIndexPool();
+  return *pool;
+}
+
+size_t TakeSlotIndex() {
+  SlotIndexPool& pool = ThePool();
+  std::unique_lock<std::mutex> lk(pool.mu);
+  pool.released.wait(lk, [&] {
+    return !pool.free.empty() || pool.next < SlotIndex::kMax;
+  });
+  if (pool.free.empty()) return pool.next++;
+  const size_t i = pool.free.top();
+  pool.free.pop();
+  return i;
+}
+
 }  // namespace
 
 const bool EpochGC::kAsymmetricFence = RegisterAsymmetricFence();
@@ -51,52 +81,25 @@ void EpochGC::HeavyFence() {
   std::atomic_thread_fence(std::memory_order_seq_cst);
 }
 
-std::mutex& EpochGC::AliveMutex() {
-  static std::mutex m;
-  return m;
-}
+SlotIndex::SlotIndex() : value_(TakeSlotIndex()) {}
 
-std::vector<EpochGC*>& EpochGC::AliveSet() {
-  static std::vector<EpochGC*> v;
-  return v;
-}
-
-uint64_t EpochGC::NextInstanceId() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1);
-}
-
-bool EpochGC::IsAlive(EpochGC* gc, uint64_t instance_id) {
-  std::lock_guard<std::mutex> g(AliveMutex());
-  auto& alive = AliveSet();
-  return std::find(alive.begin(), alive.end(), gc) != alive.end() &&
-         gc->instance_id_ == instance_id;
-}
-
-EpochGC::EpochGC(const Options& opts)
-    : instance_id_(NextInstanceId()), opts_(opts) {
-  if (opts_.count_watermark == 0) opts_.count_watermark = 1;
-  if (opts_.bytes_watermark == 0) opts_.bytes_watermark = 1;
-  size_t chunks =
-      (std::max<size_t>(opts_.initial_threads, 1) + kSlotsPerChunk - 1) /
-      kSlotsPerChunk;
-  chunks = std::min(chunks, kMaxChunks);
-  for (size_t c = 0; c < chunks; ++c) {
-    chunks_[c].store(new SlotChunk(), std::memory_order_release);
+SlotIndex::~SlotIndex() {
+  SlotIndexPool& pool = ThePool();
+  {
+    std::lock_guard<std::mutex> g(pool.mu);
+    pool.free.push(value_);
   }
-  num_chunks_.store(chunks, std::memory_order_release);
-  std::lock_guard<std::mutex> g(AliveMutex());
-  AliveSet().push_back(this);
+  pool.released.notify_one();
+}
+
+EpochGC::EpochGC() {
+  chunks_[0].store(new SlotChunk(), std::memory_order_relaxed);
+  num_chunks_.store(1, std::memory_order_release);
 }
 
 EpochGC::~EpochGC() {
   // Free everything left; no clients may be active at destruction.
   CollectAll();
-  {
-    std::lock_guard<std::mutex> g(AliveMutex());
-    auto& alive = AliveSet();
-    alive.erase(std::remove(alive.begin(), alive.end(), this), alive.end());
-  }
   const size_t n = num_chunks_.load(std::memory_order_acquire);
   for (size_t c = 0; c < n; ++c) {
     SlotChunk* chunk = chunks_[c].load(std::memory_order_acquire);
@@ -104,57 +107,34 @@ EpochGC::~EpochGC() {
   }
 }
 
-EpochSlot* EpochGC::TryClaimSlot() {
-  EpochSlot* claimed = nullptr;
-  ForEachSlot([&](EpochSlot& s) {
-    if (claimed != nullptr) return;
-    bool expected = false;
-    if (s.in_use.compare_exchange_strong(expected, true,
-                                         std::memory_order_acq_rel)) {
-      claimed = &s;
-    }
-  });
-  return claimed;
-}
-
-EpochSlot* EpochGC::RegisterThread() {
-  if (EpochSlot* s = TryClaimSlot()) return s;
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> g(grow_mu_);
-      // Another thread may have grown the table while we waited for the
-      // lock.
-      if (EpochSlot* s = TryClaimSlot()) return s;
-      const size_t n = num_chunks_.load(std::memory_order_relaxed);
-      SlotChunk* chunk = nullptr;
-      if (n < kMaxChunks) {
-        if (!CPMA_FAILPOINT("epoch_gc.slot_chunk")) {
-          chunk = new (std::nothrow) SlotChunk();
-        }
-        if (chunk == nullptr && !emergency_chunk_used_) {
-          // Chunk allocation failed (real bad_alloc or injected fault):
-          // install the embedded reserve so registration still succeeds
-          // under memory pressure.
-          std::fprintf(stderr,
-                       "cpma: EpochGC slot-chunk allocation failed; "
-                       "installing emergency reserve chunk\n");
-          chunk = &emergency_chunk_;
-          emergency_chunk_used_ = true;
-        }
+void EpochGC::Grow(size_t chunk) {
+  std::lock_guard<std::mutex> g(grow_mu_);
+  // Another thread may have grown the table while we waited for the lock.
+  for (size_t n = num_chunks_.load(std::memory_order_relaxed); n <= chunk;
+       ++n) {
+    SlotChunk* fresh = nullptr;
+    for (;;) {
+      if (!CPMA_FAILPOINT("epoch_gc.slot_chunk")) {
+        fresh = new (std::nothrow) SlotChunk();
       }
-      if (chunk != nullptr) {
-        chunk->slots[0].in_use.store(true, std::memory_order_relaxed);
-        chunks_[n].store(chunk, std::memory_order_release);
-        num_chunks_.store(n + 1, std::memory_order_release);
-        return &chunk->slots[0];
+      if (fresh == nullptr && !emergency_chunk_used_) {
+        // Allocation failed (real bad_alloc or injected fault): install
+        // the embedded reserve so this number's slot exists under memory
+        // pressure.
+        std::fprintf(stderr,
+                     "cpma: EpochGC slot-chunk allocation failed; "
+                     "installing emergency reserve chunk\n");
+        fresh = &emergency_chunk_;
+        emergency_chunk_used_ = true;
       }
+      if (fresh != nullptr) break;
+      // The reserve is spent: wait for memory and retry rather than
+      // abort. Growth is a slow path (a number's first use in this GC),
+      // and the process staying up beats a crash.
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    // Last rung: the table is at capacity (or growth keeps failing with
-    // the reserve spent). Wait for an exiting thread to recycle its slot
-    // instead of aborting — registration is a slow path and the process
-    // staying up beats a crash at the thread ceiling.
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    if (EpochSlot* s = TryClaimSlot()) return s;
+    chunks_[n].store(fresh, std::memory_order_release);
+    num_chunks_.store(n + 1, std::memory_order_release);
   }
 }
 
@@ -197,8 +177,7 @@ void EpochGC::RetireImpl(void (*free_fn)(void*), void* object, size_t bytes) {
 
   // Watermark crossed: this thread runs the pass itself, so retired
   // memory stays bounded whether or not the owner collects.
-  if (local_count >= opts_.count_watermark ||
-      local_bytes >= opts_.bytes_watermark) {
+  if (local_count >= kCountWatermark || local_bytes >= kBytesWatermark) {
     Collect();
   }
 }
@@ -207,7 +186,6 @@ bool EpochGC::TryAdvanceEpoch() {
   uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
   bool lagging = false;
   ForEachSlot([&](EpochSlot& s) {
-    if (!s.in_use.load(std::memory_order_acquire)) return;
     const uint64_t se = s.epoch.load(std::memory_order_acquire);
     if (se != EpochSlot::kIdle && se < e) lagging = true;
   });
@@ -225,7 +203,6 @@ uint64_t EpochGC::MinActiveEpoch() const {
   // is newer than what we will free.
   uint64_t min_epoch = global_epoch_.load(std::memory_order_seq_cst);
   ForEachSlot([&](EpochSlot& s) {
-    if (!s.in_use.load(std::memory_order_acquire)) return;
     const uint64_t e = s.epoch.load(std::memory_order_acquire);
     if (e != EpochSlot::kIdle && e < min_epoch) min_epoch = e;
   });

@@ -25,16 +25,15 @@
 // reader skew to one epoch), and is driven by Collect() passes — the
 // owner's and the watermark crossings' — never by readers.
 //
-// Retire side. Each registered thread owns a private limbo list of
-// intrusive `GarbageNode`s (one small node per retirement; no per-item
-// allocation beyond it). A retiring thread stamps the node with the
-// current global epoch and appends it to its own list; since the global
-// epoch only grows, each list is sorted by epoch and a pass drains a
-// prefix. Both a count watermark and a bytes watermark
-// (`Retire(ptr, bytes)`) make the retiring thread collect, so retired
-// memory is bounded even with no owner pass: when retirements are few
-// but huge (a resize retiring a whole structure) or many but tiny
-// (BwTree deltas).
+// Retire side. Each slot owns a private limbo list of intrusive
+// `GarbageNode`s (one small node per retirement; no per-item allocation
+// beyond it). A retiring thread stamps the node with the current global
+// epoch and appends it to its own slot's list; since the global epoch
+// only grows, each list is sorted by epoch and a pass drains a prefix.
+// Both a count watermark and a bytes watermark (`Retire(ptr, bytes)`)
+// make the retiring thread collect, so retired memory is bounded even
+// with no owner pass: when retirements are few but huge (a resize
+// retiring a whole structure) or many but tiny (BwTree deltas).
 //
 // Reclamation safety — the memory-ordering argument. Garbage stamped with
 // epoch `e` is freed only when `min_active > e`, where `min_active` is
@@ -65,35 +64,61 @@
 // wedges nothing newer: garbage stamped < e still drains, and garbage
 // stamped >= e drains at the first pass after the reader exits.
 //
-// Threads and slots. Slots live in pointer-stable chunks; registration
-// beyond the preallocated capacity grows the chunk table (no abort, no
-// slot ever moves). A thread's slot is cached thread_local per
-// (thread, GC instance) and recycled on thread exit; pending garbage in a
-// recycled slot is still epoch-ordered because append order follows the
-// monotone global epoch. Finding the cached slot takes no lock: only
-// registration (a cache miss) and thread exit consult the process-wide
-// liveness set, so a pin stays a cache walk, a load and a store even
-// for a thread that works on many GC instances (a sharded fleet).
+// Threads and slots. A slot number (SlotIndex) is process-wide: each
+// thread takes the lowest free number the first time it needs one (its
+// first pin, say) and holds it until it exits, and an open snapshot
+// holds one more for its dedicated pin. Every EpochGC keeps the slot of number i at position i of a
+// table of pointer-stable chunks, so finding the calling thread's slot
+// is one thread_local read and an index, with no per-instance cache and
+// no lock, however many GC instances the thread works on (a sharded
+// fleet has one per shard). The first use of a number past the table
+// grows it (no abort, no slot ever moves). A released number passes,
+// with its slots' pending garbage, to the next holder; that garbage is
+// still epoch-ordered because append order follows the monotone global
+// epoch.
 //
-// Knobs: EpochGC::Options (slots preallocated, and the per-thread count
-// and byte watermarks that make a retirement collect inline). How often
-// the owner collects is the owner's choice.
+// Constants: kCountWatermark and kBytesWatermark, the per-slot pending
+// retirements and bytes that make a retirement collect inline. How
+// often the owner collects is the owner's choice.
 
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <type_traits>
-#include <vector>
 
 #include "common/status.h"
 
 namespace cpma {
 
-class EpochGC;
+/// A recycled process-wide slot number: the holder's index into every
+/// EpochGC's slot table. The constructor takes the lowest free number
+/// (waiting while all kMax are held) and the destructor gives it back.
+class SlotIndex {
+ public:
+  /// Numbers held at once; EpochGC sizes its chunk table to match.
+  static constexpr size_t kMax = 32768;
+
+  SlotIndex();
+  ~SlotIndex();
+
+  SlotIndex(const SlotIndex&) = delete;
+  SlotIndex& operator=(const SlotIndex&) = delete;
+
+  size_t value() const { return value_; }
+
+  /// The calling thread's number: taken at its first call, held until
+  /// the thread exits.
+  static size_t OfThisThread() {
+    thread_local const SlotIndex mine;
+    return mine.value_;
+  }
+
+ private:
+  const size_t value_;
+};
 
 /// One retired object: intrusive singly-linked node, stamped with the
 /// epoch current at retirement. `free_fn(object)` releases the object.
@@ -105,7 +130,7 @@ struct GarbageNode {
   GarbageNode* next;
 };
 
-/// Per-thread registration slot. The epoch word readers publish into sits
+/// The slot of one slot number. The epoch word readers publish into sits
 /// alone on its own cacheline (no false sharing between client threads,
 /// and the owner's limbo-list traffic never dirties the line a pass
 /// scans). The limbo list is owner-appended / pass-drained under a
@@ -114,7 +139,6 @@ struct alignas(64) EpochSlot {
   // kIdle when the thread is not inside an operation.
   static constexpr uint64_t kIdle = UINT64_MAX;
   alignas(64) std::atomic<uint64_t> epoch{kIdle};
-  std::atomic<bool> in_use{false};
 
   alignas(64) std::mutex limbo_mu;
   GarbageNode* limbo_head = nullptr;
@@ -141,84 +165,29 @@ struct EpochGCStats {
 
 class EpochGC {
  public:
-  struct Options {
-    /// Slots preallocated at construction; registration beyond this grows
-    /// chunk-by-chunk (pointer-stable) instead of aborting.
-    size_t initial_threads = 64;
-    /// Per-thread pending retirements that trigger advance + collect.
-    size_t count_watermark = 512;
-    /// Per-thread pending retired bytes that trigger advance + collect.
-    size_t bytes_watermark = size_t{8} << 20;  // 8 MiB
-  };
+  /// Pending retirements of one slot that make a retirement collect.
+  static constexpr size_t kCountWatermark = 512;
+  /// Pending retired bytes of one slot that make a retirement collect.
+  static constexpr size_t kBytesWatermark = size_t{8} << 20;  // 8 MiB
 
-  /// Zero watermarks are clamped to 1.
-  explicit EpochGC(const Options& opts);
-  EpochGC() : EpochGC(Options{}) {}
+  EpochGC();
   ~EpochGC();
 
   EpochGC(const EpochGC&) = delete;
   EpochGC& operator=(const EpochGC&) = delete;
 
-  /// True iff `gc` still exists *and* is the same instance (a new GC can
-  /// be allocated at a recycled address; the id disambiguates). Used by
-  /// thread-local slot caches that may outlive the GC.
-  static bool IsAlive(EpochGC* gc, uint64_t instance_id);
-
-  uint64_t instance_id() const { return instance_id_; }
-
-  /// Acquire a slot for the calling thread. Threads keep their slot for
-  /// their lifetime (thread_local caching via LocalSlot). Never aborts:
-  /// slot storage grows in pointer-stable chunks on demand.
-  EpochSlot* RegisterThread();
-
-  /// Release a slot for reuse. Pending garbage in its limbo list stays
-  /// and is drained by later passes as epochs pass.
-  void UnregisterThread(EpochSlot* slot) {
-    slot->epoch.store(EpochSlot::kIdle, std::memory_order_release);
-    slot->in_use.store(false, std::memory_order_release);
+  /// The slot of number `i` (a SlotIndex value), the same one for as
+  /// long as this GC lives. The first use of a number past the table
+  /// grows it; that never aborts (see Grow).
+  EpochSlot* SlotAt(size_t i) {
+    const size_t c = i / kSlotsPerChunk;
+    if (c >= num_chunks_.load(std::memory_order_acquire)) Grow(c);
+    return &chunks_[c].load(std::memory_order_acquire)
+                ->slots[i % kSlotsPerChunk];
   }
 
-  /// The calling thread's cached slot for this GC (registering on first
-  /// use). Shared by EpochGuard and Retire so a thread occupies one slot.
-  /// A hit takes no lock: the lookup compares (address, instance id)
-  /// pairs, and the id keeps a new GC at a recycled address apart from
-  /// the dead one, so a matching entry is this live instance. Only a
-  /// miss — registration — consults the process-wide liveness set, to
-  /// purge the entries of dead instances before adding this one.
-  EpochSlot* LocalSlot() {
-    struct Entry {
-      EpochGC* gc;
-      uint64_t instance_id;
-      EpochSlot* slot;
-    };
-    // One cached slot per (thread, GC instance). A thread uses at most a
-    // handful of GC instances (one per data structure), so a tiny linear
-    // cache suffices and avoids unordered_map in the hot path.
-    struct Cache {
-      std::vector<Entry> entries;
-      ~Cache() {
-        for (auto& e : entries) {
-          if (EpochGC::IsAlive(e.gc, e.instance_id)) {
-            e.gc->UnregisterThread(e.slot);
-          }
-        }
-      }
-    };
-    thread_local Cache cache;
-    for (const Entry& e : cache.entries) {
-      if (e.gc == this && e.instance_id == instance_id_) return e.slot;
-    }
-    // Miss: drop the entries whose GC died (their slot storage is gone).
-    auto& entries = cache.entries;
-    entries.erase(std::remove_if(entries.begin(), entries.end(),
-                                 [](const Entry& e) {
-                                   return !IsAlive(e.gc, e.instance_id);
-                                 }),
-                  entries.end());
-    EpochSlot* slot = RegisterThread();
-    entries.push_back({this, instance_id_, slot});
-    return slot;
-  }
+  /// The calling thread's slot, shared by EpochGuard and Retire.
+  EpochSlot* LocalSlot() { return SlotAt(SlotIndex::OfThisThread()); }
 
   /// Observe the current epoch and publish it in the slot: one load plus
   /// one release store to the thread's own cacheline — no shared-line
@@ -256,7 +225,7 @@ class EpochGC {
     RetireImpl(free_fn, object, bytes);
   }
 
-  /// One pass: advance + drain every per-thread limbo prefix older than
+  /// One pass: advance + drain every slot's limbo prefix older than
   /// the min active epoch. Never waits for a reader. Safe on any thread,
   /// concurrently with other passes. Returns the number of items freed.
   size_t Collect();
@@ -278,17 +247,12 @@ class EpochGC {
 
  private:
   // Slots live in fixed-size chunks that are allocated once and never
-  // moved, so EpochSlot* stays valid across growth (satellite of ISSUE 6:
-  // replaces the fixed-capacity abort).
+  // moved, so EpochSlot* stays valid across growth.
   static constexpr size_t kSlotsPerChunk = 32;
-  static constexpr size_t kMaxChunks = 1024;  // 32768 threads
+  static constexpr size_t kMaxChunks = SlotIndex::kMax / kSlotsPerChunk;
   struct SlotChunk {
     EpochSlot slots[kSlotsPerChunk];
   };
-
-  static std::mutex& AliveMutex();
-  static std::vector<EpochGC*>& AliveSet();
-  static uint64_t NextInstanceId();
 
   /// True when membarrier(PRIVATE_EXPEDITED) registered successfully at
   /// process start: readers publish with plain release stores and each
@@ -300,7 +264,8 @@ class EpochGC {
   void RetireImpl(void (*free_fn)(void*), void* object, size_t bytes);
   /// Free a detached garbage list and account for it in the stats.
   size_t FreeDetached(GarbageNode* head);
-  EpochSlot* TryClaimSlot();
+  /// Install chunks up to and including `chunk`.
+  void Grow(size_t chunk);
 
   template <typename Fn>
   void ForEachSlot(Fn&& fn) const {
@@ -311,20 +276,16 @@ class EpochGC {
     }
   }
 
-  const uint64_t instance_id_;
-  Options opts_;
-
   std::atomic<uint64_t> global_epoch_{1};
 
   std::atomic<SlotChunk*> chunks_[kMaxChunks] = {};
   std::atomic<size_t> num_chunks_{0};
   std::mutex grow_mu_;
 
-  // Degradation reserve for RegisterThread: when growing the chunk table
-  // fails (real bad_alloc or the epoch_gc.slot_chunk failpoint), this
-  // embedded chunk is installed instead so registration still succeeds
-  // once under memory pressure; after that, registration waits for a
-  // recycled slot rather than aborting. Must not be delete'd (~EpochGC).
+  // Degradation reserve for Grow: when allocating a chunk fails (real
+  // bad_alloc or the epoch_gc.slot_chunk failpoint), this embedded chunk
+  // is installed instead, once; after that, Grow waits and retries the
+  // allocation rather than aborting. Must not be delete'd (~EpochGC).
   SlotChunk emergency_chunk_;
   bool emergency_chunk_used_ = false;  // guarded by grow_mu_
 

@@ -902,12 +902,10 @@ void ConcurrentPMA::Scan(Key min, Key max, const ScanCallback& cb) const {
 // ------------------------------------------------------------ statistics
 
 void ConcurrentPMA::AddOptimisticGateReads(uint64_t n) const {
-  // Each thread keeps one stripe for its lifetime, shared by every PMA.
-  static std::atomic<size_t> next_stripe{0};
-  thread_local const size_t stripe =
-      next_stripe.fetch_add(1, std::memory_order_relaxed) % kTallyStripes;
-  stat_optimistic_gate_reads_[stripe].n.fetch_add(
-      n, std::memory_order_relaxed);
+  // A thread's stripe follows its slot number, so it keeps one stripe
+  // for its lifetime, shared by every PMA.
+  stat_optimistic_gate_reads_[SlotIndex::OfThisThread() % kTallyStripes]
+      .n.fetch_add(n, std::memory_order_relaxed);
 }
 
 uint64_t ConcurrentPMA::num_optimistic_gate_reads() const {

@@ -479,8 +479,8 @@ class ConcurrentPMA : public OrderedMap {
   std::atomic<uint64_t> stat_rebalance_retries_{0};
 
   // Optimistic scan gate reads, striped: every Scan, ScanCursor and
-  // SumAll adds its tally to the stripe of its thread (picked once per
-  // thread, round robin), so concurrent short scans do not bounce one
+  // SumAll adds its tally to the stripe of its thread (its SlotIndex
+  // modulo the stripes), so concurrent short scans do not bounce one
   // line; num_optimistic_gate_reads() sums the stripes.
   struct alignas(64) TallyStripe {
     std::atomic<uint64_t> n{0};

@@ -16,9 +16,9 @@ std::unique_ptr<PMASnapshot> ConcurrentPMA::Snapshot() const {
   std::unique_ptr<PMASnapshot> s(new PMASnapshot());
   s->pma_ = this;
   // Dedicated epoch slot: the capturing thread's own LocalSlot keeps
-  // being entered/exited by its later operations, so the snapshot needs
-  // its own pin to hold the Structure across those.
-  s->slot_ = gc_.RegisterThread();
+  // being entered/exited by its later operations, so the snapshot holds
+  // a slot number of its own to pin the Structure across those.
+  s->slot_ = gc_.SlotAt(s->pin_.value());
   gc_.Enter(s->slot_);
   Structure* snap = structure_.load(std::memory_order_acquire);
   s->snap_ = snap;
@@ -92,8 +92,7 @@ PMASnapshot::~PMASnapshot() {
   for (size_t g = 0; g < num_gates_; ++g) {
     delete entries_[g].load(std::memory_order_relaxed);
   }
-  pma_->gc_.Exit(slot_);
-  pma_->gc_.UnregisterThread(slot_);
+  pma_->gc_.Exit(slot_);  // then pin_ gives the number back
   pma_->snapshots_open_.fetch_sub(1, std::memory_order_relaxed);
 }
 

@@ -129,7 +129,8 @@ class PMASnapshot {
   Structure* snap_ = nullptr;  // epoch-pinned via slot_
   uint64_t stamp_ = 0;
   uint64_t struct_version_ = 0;
-  EpochSlot* slot_ = nullptr;  // dedicated pin; never the thread-local slot
+  SlotIndex pin_;  // the dedicated pin's slot number
+  EpochSlot* slot_ = nullptr;  // gc_.SlotAt(pin_), never the thread's slot
   std::unique_ptr<std::atomic<snapshot_internal::GateSnap*>[]> entries_;
   size_t num_gates_ = 0;
   std::atomic<size_t> retained_bytes_{0};

@@ -7,7 +7,6 @@
 #include <functional>
 #include <queue>
 #include <system_error>
-#include <unordered_map>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -18,8 +17,6 @@
 namespace cpma {
 
 namespace {
-
-std::atomic<uint64_t> g_sharded_instance_ids{1};
 
 /// splitmix64 finalizer: full-avalanche mix so dense or strided key
 /// ranges spread evenly over the power-of-two shard mask.
@@ -51,10 +48,7 @@ void ParseEnvU64(const char* name, uint64_t* out) {
 
 }  // namespace
 
-ShardedPMA::ShardedPMA(const ShardedConfig& config)
-    : cfg_(config),
-      instance_id_(
-          g_sharded_instance_ids.fetch_add(1, std::memory_order_relaxed)) {
+ShardedPMA::ShardedPMA(const ShardedConfig& config) : cfg_(config) {
   uint64_t num_shards = cfg_.num_shards;
   ParseEnvU64("CPMA_SHARDS", &num_shards);
   CPMA_CHECK_MSG(num_shards >= 1, "num_shards must be >= 1");
@@ -226,19 +220,7 @@ void ShardedPMA::FlushSlotShard(ProducerSlot* slot, size_t shard_idx,
 }
 
 ShardedPMA::ProducerSlot* ShardedPMA::SlotForThisThread() const {
-  // Cache keyed by a process-unique instance id (not `this`): a new
-  // instance reusing a destroyed one's address must not inherit its
-  // slot assignments.
-  static thread_local std::unordered_map<uint64_t, size_t> cache;
-  size_t idx;
-  auto it = cache.find(instance_id_);
-  if (it != cache.end()) {
-    idx = it->second;
-  } else {
-    idx = next_slot_.fetch_add(1, std::memory_order_relaxed) % kNumSlots;
-    cache.emplace(instance_id_, idx);
-  }
-  return slots_[idx].get();
+  return slots_[SlotIndex::OfThisThread() % kNumSlots].get();
 }
 
 void ShardedPMA::AgeFlusherLoop() {

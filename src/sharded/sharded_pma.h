@@ -250,11 +250,12 @@ class ShardedPMA : public OrderedMap {
   uint64_t snapshots_open() const;
 
  private:
-  // One producer's staging area: per-shard op runs. Producers map to
-  // slots via a thread-local cache (SlotForThisThread); more than
-  // kNumSlots concurrent producers share slots, which only costs
-  // append_mu contention — interleaved appends of two producers still
-  // preserve each producer's own issue order.
+  // One producer's staging area: per-shard op runs. A producer's slot
+  // is its thread's SlotIndex modulo kNumSlots (SlotForThisThread).
+  // Slot numbers are dense, so live producers share a slot only past
+  // kNumSlots threads, which costs append_mu contention and nothing
+  // else — interleaved appends of two producers still preserve each
+  // producer's own issue order.
   struct ShardBuf {
     std::vector<GateOp> ops;
     int64_t oldest_ms = 0;  // NowMillis() of the first staged op
@@ -284,11 +285,9 @@ class ShardedPMA : public OrderedMap {
   ShardedConfig cfg_;
   size_t coalesce_ops_ = 0;
   int64_t coalesce_age_ms_ = 0;
-  uint64_t instance_id_ = 0;  // monotone; keys the thread-local slot cache
   std::vector<Key> splitters_;
   std::vector<std::unique_ptr<ConcurrentPMA>> shards_;
   mutable std::vector<std::unique_ptr<ProducerSlot>> slots_;
-  mutable std::atomic<size_t> next_slot_{0};
 
   // Age flusher (started only when coalescing + age bound are on).
   std::thread ager_;

@@ -219,7 +219,8 @@ TEST(EpochGC, RetiredMemoryFreedWhenNoReaders) {
 TEST(EpochGC, ActiveReaderBlocksCollection) {
   EpochGC gc;
   std::atomic<int> freed{0};
-  EpochSlot* slot = gc.RegisterThread();
+  const SlotIndex reader;
+  EpochSlot* slot = gc.SlotAt(reader.value());
   gc.Enter(slot);
   gc.Retire(&CountingFree, &freed, 8);
   gc.Collect();
@@ -227,7 +228,6 @@ TEST(EpochGC, ActiveReaderBlocksCollection) {
   gc.Exit(slot);
   gc.Collect();
   EXPECT_EQ(freed.load(), 1);
-  gc.UnregisterThread(slot);
 }
 
 // Observe-don't-advance (ISSUE 6): a reader pinned at epoch E keeps
@@ -237,20 +237,19 @@ TEST(EpochGC, ActiveReaderBlocksCollection) {
 TEST(EpochGC, ReaderInNewerEpochDoesNotBlockOlderGarbage) {
   EpochGC gc;
   std::atomic<int> freed{0};
-  EpochSlot* parked = gc.RegisterThread();
+  const SlotIndex parked_index, late_index;
+  EpochSlot* parked = gc.SlotAt(parked_index.value());
   gc.Enter(parked);  // pins the retire epoch
   gc.Retire(&CountingFree, &freed, 8);
   // The parked pin blocks the free, but Collect still advances the
   // global epoch (the parked reader lags by at most one).
   EXPECT_EQ(gc.Collect(), 0u);
-  EpochSlot* late = gc.RegisterThread();
+  EpochSlot* late = gc.SlotAt(late_index.value());
   gc.Enter(late);  // observes the advanced epoch
   gc.Exit(parked);
   gc.Collect();
   EXPECT_EQ(freed.load(), 1) << "late reader must not block older garbage";
   gc.Exit(late);
-  gc.UnregisterThread(parked);
-  gc.UnregisterThread(late);
 }
 
 TEST(EpochGC, EpochGuardRefreshAdvancesEpoch) {

@@ -1,19 +1,23 @@
-// EBR core suite (ISSUE 6): watermark triggering by count and by bytes,
-// epoch-order draining of the per-thread limbo lists, pointer-stable
-// slot growth past the initial capacity, slot reuse after thread exit,
-// destruction with pending garbage (ASan leak coverage), and the
-// parked-reader soaks that are the tentpole's acceptance evidence — a
-// reader holding an EpochGuard mid-scan while writers churn must bound
-// retired memory without wedging reclamation for other epochs.
+// EBR core suite: watermark triggering by count and by bytes,
+// epoch-order draining of the per-slot limbo lists, pointer-stable slot
+// growth past the first chunk, the process-wide slot-number pool and
+// slot reuse after thread exit, destruction with pending garbage (ASan
+// leak coverage), and the parked-reader soaks — a reader holding an
+// EpochGuard mid-scan while writers churn must bound retired memory
+// without wedging reclamation for other epochs.
 //
 // Dual-labeled unit+concurrent: the multi-threaded cases (registration
-// storm, parked-reader soaks) re-run under TSan, where the seq_cst
-// pin-publish / pass-fence protocol must keep every access ordered.
+// storm, number pool, parked-reader soaks) re-run under TSan, where the
+// seq_cst pin-publish / pass-fence protocol must keep every access
+// ordered.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <deque>
+#include <map>
 #include <memory>
 #include <new>
 #include <set>
@@ -32,44 +36,42 @@ void CountingFree(void* p) {
 }
 
 TEST(EpochGCCore, CountWatermarkTriggersCollection) {
-  EpochGC::Options opts;
-  opts.count_watermark = 4;
-  opts.bytes_watermark = size_t{1} << 40;  // never by bytes
-  EpochGC gc(opts);  // passive: the watermark crossing collects inline
+  EpochGC gc;  // passive: the watermark crossing collects inline
+  constexpr int kBelow = static_cast<int>(EpochGC::kCountWatermark) - 1;
   std::atomic<int> freed{0};
-  for (int i = 0; i < 3; ++i) gc.Retire(&CountingFree, &freed, 8);
+  // 8 bytes each: far below the bytes watermark.
+  for (int i = 0; i < kBelow; ++i) gc.Retire(&CountingFree, &freed, 8);
   EXPECT_EQ(freed.load(), 0) << "below watermark: nothing collected";
-  EXPECT_EQ(gc.PendingGarbage(), 3u);
-  gc.Retire(&CountingFree, &freed, 8);  // 4th crosses the watermark
-  EXPECT_EQ(freed.load(), 4);
+  EXPECT_EQ(gc.PendingGarbage(), static_cast<size_t>(kBelow));
+  gc.Retire(&CountingFree, &freed, 8);  // this one crosses the watermark
+  EXPECT_EQ(freed.load(), kBelow + 1);
   EXPECT_EQ(gc.PendingGarbage(), 0u);
   const EpochGCStats s = gc.Stats();
   EXPECT_GE(s.epoch_advances, 1u);
   EXPECT_GE(s.collections, 1u);
-  EXPECT_EQ(s.retired_count, 4u);
-  EXPECT_EQ(s.freed_count, 4u);
+  EXPECT_EQ(s.retired_count, EpochGC::kCountWatermark);
+  EXPECT_EQ(s.freed_count, EpochGC::kCountWatermark);
 }
 
 TEST(EpochGCCore, BytesWatermarkTriggersCollection) {
-  EpochGC::Options opts;
-  opts.count_watermark = size_t{1} << 40;  // never by count
-  opts.bytes_watermark = 1024;
-  EpochGC gc(opts);
+  EpochGC gc;
   std::atomic<int> freed{0};
   gc.Retire(&CountingFree, &freed, 100);
   EXPECT_EQ(freed.load(), 0);
-  // One huge retirement (a multi-MB snapshot, say) must trip the bytes
-  // watermark even though the count is tiny.
-  gc.Retire(&CountingFree, &freed, 4096);
+  // One huge retirement (a multi-MB structure, say) must trip the bytes
+  // watermark although the count is tiny. The bytes are accounting
+  // only: the object is a counter.
+  gc.Retire(&CountingFree, &freed, EpochGC::kBytesWatermark);
   EXPECT_EQ(freed.load(), 2);
+  const uint64_t total = 100 + EpochGC::kBytesWatermark;
   const EpochGCStats s = gc.Stats();
-  EXPECT_EQ(s.retired_bytes, 4196u);
-  EXPECT_EQ(s.freed_bytes, 4196u);
-  EXPECT_GE(s.retired_bytes_hwm, 4196u);
+  EXPECT_EQ(s.retired_bytes, total);
+  EXPECT_EQ(s.freed_bytes, total);
+  EXPECT_GE(s.retired_bytes_hwm, total);
   EXPECT_EQ(s.pending_bytes, 0u);
 }
 
-// The per-thread limbo list is epoch-sorted by construction; Collect
+// The per-slot limbo list is epoch-sorted by construction; Collect
 // drains exactly the prefix older than the min active epoch.
 TEST(EpochGCCore, DrainsEpochOrderedPrefixOnly) {
   EpochGC gc;
@@ -77,7 +79,8 @@ TEST(EpochGCCore, DrainsEpochOrderedPrefixOnly) {
   std::atomic<int> freed_new{0};
   gc.Retire(&CountingFree, &freed_old, 8);  // stamped epoch E
   ASSERT_TRUE(gc.TryAdvanceEpoch());        // no readers: E -> E+1
-  EpochSlot* parked = gc.RegisterThread();
+  const SlotIndex parked_index;
+  EpochSlot* parked = gc.SlotAt(parked_index.value());
   gc.Enter(parked);                         // pins E+1
   gc.Retire(&CountingFree, &freed_new, 8);  // stamped E+1, same limbo list
   gc.Collect();
@@ -87,18 +90,16 @@ TEST(EpochGCCore, DrainsEpochOrderedPrefixOnly) {
   gc.Exit(parked);
   gc.Collect();
   EXPECT_EQ(freed_new.load(), 1);
-  gc.UnregisterThread(parked);
 }
 
-// Satellite: RegisterThread must not abort past the initial capacity —
-// slot storage grows in chunks and existing EpochSlot* stay valid.
+// Numbers past the first chunk must not abort: slot storage grows in
+// chunks and existing EpochSlot* stay valid.
 TEST(EpochGCCore, SlotStorageGrowsWithoutAborting) {
-  EpochGC::Options opts;
-  opts.initial_threads = 1;
-  EpochGC gc(opts);
+  EpochGC gc;
   constexpr int kSlots = 100;  // far beyond one chunk
+  std::deque<SlotIndex> numbers(kSlots);
   std::vector<EpochSlot*> slots;
-  for (int i = 0; i < kSlots; ++i) slots.push_back(gc.RegisterThread());
+  for (const SlotIndex& i : numbers) slots.push_back(gc.SlotAt(i.value()));
   EXPECT_EQ(std::set<EpochSlot*>(slots.begin(), slots.end()).size(),
             static_cast<size_t>(kSlots));
   // Slots allocated before growth must still be usable (pointer-stable).
@@ -110,13 +111,14 @@ TEST(EpochGCCore, SlotStorageGrowsWithoutAborting) {
   gc.Exit(slots[0]);
   gc.Collect();
   EXPECT_EQ(freed.load(), 1);
-  for (auto* s : slots) gc.UnregisterThread(s);
 }
 
+// Eight threads whose first pins all need the table's second chunk grow
+// it at the same time: this thread first holds 32 numbers (at least the
+// first chunk's worth), so every storm thread's number lies past it.
 TEST(EpochGCCore, RegistrationStormUnderGrowth) {
-  EpochGC::Options opts;
-  opts.initial_threads = 1;
-  EpochGC gc(opts);
+  EpochGC gc;
+  const std::deque<SlotIndex> held(32);
   std::atomic<int> freed{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
@@ -133,31 +135,98 @@ TEST(EpochGCCore, RegistrationStormUnderGrowth) {
   EXPECT_EQ(gc.PendingGarbage(), 0u);
 }
 
+// A released number, and with it its slot, goes to the next holder.
 TEST(EpochGCCore, SlotReusedAfterThreadExit) {
   EpochGC gc;
-  EpochSlot* first = gc.RegisterThread();
-  gc.UnregisterThread(first);
-  EXPECT_EQ(gc.RegisterThread(), first) << "released slot must be reused";
-  gc.UnregisterThread(first);
+  size_t first_number;
+  EpochSlot* first;
+  {
+    const SlotIndex index;
+    first_number = index.value();
+    first = gc.SlotAt(first_number);
+  }
+  const SlotIndex next;
+  EXPECT_EQ(next.value(), first_number) << "released number must be reused";
+  EXPECT_EQ(gc.SlotAt(next.value()), first);
 
-  // A real thread exiting mid-garbage: its limbo list survives slot
-  // recycling and drains once the epoch passes.
+  // A real thread exiting mid-garbage: its limbo list survives the
+  // number's recycling and drains once the epoch passes.
   std::atomic<int> freed{0};
+  EpochSlot* exited = nullptr;
+  EpochSlot* successor = nullptr;
   std::thread([&] {
     EpochGuard guard(gc);
     gc.Retire(&CountingFree, &freed, 8);
+    exited = gc.LocalSlot();
   }).join();
-  std::thread([&] { EpochGuard guard(gc); }).join();  // recycles the slot
+  std::thread([&] {
+    EpochGuard guard(gc);
+    successor = gc.LocalSlot();
+  }).join();
+  EXPECT_EQ(successor, exited) << "the exited thread's slot goes on";
   gc.Collect();
   EXPECT_EQ(freed.load(), 1);
 }
 
-// A thread working on several GC instances (a sharded fleet) caches one
-// slot per instance and finds it without a lock. Instances die and are
-// born at the same address (built in place here, so the address reuse
-// is certain): the newcomer must get a fresh slot of its own, never the
-// dead instance's cached one (ASan would catch a stale slot's freed
-// chunk), and at thread exit only the live instances' slots go back.
+// The number pool: threads that hold numbers at once hold distinct
+// ones, and released numbers go back lowest first, so a later round of
+// threads reuses the first round's numbers and, with them, the slots a
+// long-lived GC keeps for those numbers.
+TEST(SlotIndexPool, ConcurrentHoldersDistinctThenRecycled) {
+  constexpr int kThreads = 16;
+  SlotIndex::OfThisThread();  // this thread's number stays out of both rounds
+  EpochGC gc;
+  auto run_round = [&](std::vector<size_t>* numbers,
+                       std::vector<EpochSlot*>* slots) {
+    numbers->assign(kThreads, 0);
+    slots->assign(kThreads, nullptr);
+    std::atomic<int> arrived{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        (*numbers)[t] = SlotIndex::OfThisThread();
+        (*slots)[t] = gc.LocalSlot();
+        // Barrier: no thread exits, releasing its number, before every
+        // thread of the round holds one.
+        arrived.fetch_add(1);
+        while (arrived.load() < kThreads) std::this_thread::yield();
+      });
+    }
+    for (auto& th : threads) th.join();
+  };
+
+  std::vector<size_t> first_numbers, second_numbers;
+  std::vector<EpochSlot*> first_slots, second_slots;
+  run_round(&first_numbers, &first_slots);
+  EXPECT_EQ(std::set<size_t>(first_numbers.begin(), first_numbers.end())
+                .size(),
+            static_cast<size_t>(kThreads))
+      << "numbers held at once must be distinct";
+  std::map<size_t, EpochSlot*> slot_of;
+  for (int t = 0; t < kThreads; ++t) slot_of[first_numbers[t]] = first_slots[t];
+  const size_t first_max =
+      *std::max_element(first_numbers.begin(), first_numbers.end());
+
+  run_round(&second_numbers, &second_slots);
+  EXPECT_EQ(std::set<size_t>(second_numbers.begin(), second_numbers.end())
+                .size(),
+            static_cast<size_t>(kThreads));
+  for (int t = 0; t < kThreads; ++t) {
+    const size_t n = second_numbers[t];
+    EXPECT_LE(n, first_max) << "released numbers must be reused";
+    ASSERT_EQ(slot_of.count(n), 1u) << "number " << n;
+    EXPECT_EQ(second_slots[t], slot_of[n])
+        << "number " << n << " must find the same slot";
+  }
+}
+
+// A thread working on several GC instances (a sharded fleet) finds its
+// slot in each by its one slot number, without a lock. Instances die
+// and are born at the same address (built in place here, so the address
+// reuse is certain): the newcomer's slot is its own (ASan would catch a
+// slot in the dead instance's freed chunk), and a thread's exit gives
+// its number, and so its slot in every live instance, to the next
+// thread.
 TEST(EpochGCCore, LocalSlotAcrossInstances) {
   struct alignas(EpochGC) Cell {
     unsigned char bytes[sizeof(EpochGC)];
@@ -178,12 +247,9 @@ TEST(EpochGCCore, LocalSlotAcrossInstances) {
 
     // Two die and two are born at their addresses.
     for (int i : {1, 3}) {
-      const uint64_t old_id = gcs[i]->instance_id();
       gcs[i]->~EpochGC();
       gcs[i] = new (&cells[i]) EpochGC();
-      ASSERT_NE(gcs[i]->instance_id(), old_id);
       EpochSlot* slot = gcs[i]->LocalSlot();
-      EXPECT_TRUE(slot->in_use.load()) << "a fresh registration";
       // The slot belongs to the newcomer: a pin on it holds back the
       // newcomer's garbage.
       std::atomic<int> freed{0};
@@ -197,20 +263,16 @@ TEST(EpochGCCore, LocalSlotAcrossInstances) {
       EXPECT_EQ(gcs[i]->LocalSlot(), slot);
       last[i] = slot;
     }
-    // The survivors keep their slots through the misses' purges.
+    // The survivors keep their slots through the deaths and births.
     EXPECT_EQ(gcs[0]->LocalSlot(), last[0]);
     EXPECT_EQ(gcs[2]->LocalSlot(), last[2]);
 
-    // One more dies after the last registration, so the thread exits
-    // with a dead instance still in its cache.
+    // One more dies while the thread still works on the others.
     gcs[0]->~EpochGC();
   }).join();
 
-  // Thread exit released the live instances' slots; a new thread gets
-  // each of them back (the first free slot of each table).
-  for (int i = 1; i < kGcs; ++i) {
-    EXPECT_FALSE(last[i]->in_use.load()) << "gc " << i;
-  }
+  // Thread exit released the number; a new thread takes it back, and
+  // with it the same slot of each live instance.
   std::thread([&] {
     for (int i = 1; i < kGcs; ++i) EXPECT_EQ(gcs[i]->LocalSlot(), last[i]);
   }).join();
@@ -243,7 +305,8 @@ TEST(EpochGCCore, ParkedReaderBoundsGarbageWithoutWedging) {
   std::atomic<int> freed_during{0};
 
   gc.Retire(&CountingFree, &freed_before, 64);  // stamped E
-  EpochSlot* parked = gc.RegisterThread();
+  const SlotIndex parked_index;
+  EpochSlot* parked = gc.SlotAt(parked_index.value());
   ASSERT_TRUE(gc.TryAdvanceEpoch());  // no readers: E -> E+1
   gc.Enter(parked);                   // park at E+1
 
@@ -264,7 +327,6 @@ TEST(EpochGCCore, ParkedReaderBoundsGarbageWithoutWedging) {
   gc.Collect();
   EXPECT_EQ(freed_during.load(), kChurn) << "backlog drains after exit";
   EXPECT_EQ(gc.PendingGarbage(), 0u);
-  gc.UnregisterThread(parked);
 }
 
 // Tentpole acceptance (ConcurrentPMA level): a Scan callback parks

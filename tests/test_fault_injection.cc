@@ -6,7 +6,7 @@
 //   sharded    a fleet LoadSorted whose helper threads fail to spawn
 //              builds their shards on the others (the caller at worst)
 //   epoch_gc   slot-chunk allocation failure installs the emergency
-//              reserve chunk; registration still succeeds
+//              reserve chunk; a number past the table still gets a slot
 //   rebalancer resize allocation failure retries, degrades, and on
 //              exhaustion requeues every drained op (exact final state
 //              after recovery), reporting through the error callback;
@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <mutex>
 #include <set>
 #include <string>
@@ -114,15 +115,17 @@ TEST_F(FaultInjectionTest, LoadSortedBuildsOnPartialSpawn) {
 // ------------------------------------------------------------- epoch GC
 
 TEST_F(FaultInjectionTest, EpochGCInstallsEmergencyChunkOnGrowthFailure) {
-  EpochGC::Options opts;
-  opts.initial_threads = 1;  // one slot chunk; slot 33 forces growth
-  EpochGC gc(opts);
+  EpochGC gc;  // one slot chunk (32 slots); the 40 numbers outgrow it
+  const std::deque<SlotIndex> numbers(40);
+  // Every allocation fails, so only the reserve can back the second
+  // chunk: the numbers must fit in two (the table would wait for memory).
+  for (const SlotIndex& i : numbers) ASSERT_LT(i.value(), 64u);
   ASSERT_TRUE(failpoint::Set("epoch_gc.slot_chunk", "always"));
   std::vector<EpochSlot*> slots;
   std::set<EpochSlot*> distinct;
-  for (int i = 0; i < 40; ++i) {
-    EpochSlot* s = gc.RegisterThread();
-    ASSERT_NE(s, nullptr) << "registration " << i;
+  for (const SlotIndex& i : numbers) {
+    EpochSlot* s = gc.SlotAt(i.value());
+    ASSERT_NE(s, nullptr) << "number " << i.value();
     slots.push_back(s);
     distinct.insert(s);
   }
@@ -138,7 +141,6 @@ TEST_F(FaultInjectionTest, EpochGCInstallsEmergencyChunkOnGrowthFailure) {
   gc.Exit(slots.back());
   gc.Collect();
   EXPECT_EQ(freed.load(), 1);
-  for (auto* s : slots) gc.UnregisterThread(s);
 }
 
 // ----------------------------------------------------------- rebalancer

@@ -29,12 +29,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <map>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/epoch_gc.h"
 #include "common/failpoint.h"
 #include "common/random.h"
 #include "common/timer.h"
@@ -297,15 +299,53 @@ TEST_P(ChaosSoak, FaultStormConvergesToExactState) {
 
   const uint64_t seed = ChaosSeed();
   const int64_t budget_ms = SoakBudgetMs();
-  // Pre-arm a deterministic fault so even the shortest budget injects
-  // into the first resize.
+  // Pre-arm deterministic faults so even the shortest budget injects
+  // into the first resize and into the first growth of the PMA's slot
+  // table.
   ASSERT_TRUE(failpoint::Set("storage.create", "times:1"));
+  ASSERT_TRUE(failpoint::Set("epoch_gc.slot_chunk", "times:1"));
 
   constexpr int kWriters = 3;
   constexpr int kReaders = 2;
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reads{0};
   std::vector<std::map<Key, std::optional<Value>>> last(kWriters);
+
+  std::vector<std::thread> readers;
+  std::atomic<int> numbered_readers{0};
+  auto start_reader = [&](int r) {
+    readers.emplace_back([&, r] {
+      SlotIndex::OfThisThread();  // take this thread's slot number now
+      numbered_readers.fetch_add(1);
+      Random rng(seed * 2000 + static_cast<uint64_t>(r));
+      uint64_t local = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        if (r == 0) {
+          volatile uint64_t sink = pma.SumAll();
+          (void)sink;
+          ++local;
+        } else {
+          for (int i = 0; i < 512; ++i) {
+            Value v;
+            pma.Find(rng.NextBounded((1 << 16) * kWriters), &v);
+            ++local;
+          }
+        }
+      }
+      reads.fetch_add(local, std::memory_order_relaxed);
+    });
+  };
+  // The last reader's slot number lies past the PMA's first slot chunk
+  // (32 slots), so its first pin grows the table into the pre-armed
+  // fault; the storm's threads alone never number that many. Hold
+  // numbers until the pool hands out one >= 32, start the reader while
+  // they are held, and give them back once it holds its own.
+  {
+    std::deque<SlotIndex> held(1);
+    while (held.back().value() < 32) held.emplace_back();
+    start_reader(kReaders - 1);
+    while (numbered_readers.load() == 0) std::this_thread::yield();
+  }
 
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
@@ -335,27 +375,7 @@ TEST_P(ChaosSoak, FaultStormConvergesToExactState) {
     });
   }
 
-  std::vector<std::thread> readers;
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&, r] {
-      Random rng(seed * 2000 + static_cast<uint64_t>(r));
-      uint64_t local = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        if (r == 0) {
-          volatile uint64_t sink = pma.SumAll();
-          (void)sink;
-          ++local;
-        } else {
-          for (int i = 0; i < 512; ++i) {
-            Value v;
-            pma.Find(rng.NextBounded((1 << 16) * kWriters), &v);
-            ++local;
-          }
-        }
-      }
-      reads.fetch_add(local, std::memory_order_relaxed);
-    });
-  }
+  for (int r = 0; r + 1 < kReaders; ++r) start_reader(r);
 
   // The conductor: every few ms, re-arm one random site with a finite
   // policy. The (site, policy) sequence is a pure function of the seed.
@@ -382,8 +402,9 @@ TEST_P(ChaosSoak, FaultStormConvergesToExactState) {
   // Storm over: disarm everything, then drain. Every armed policy was
   // finite, so the structure has already recovered (or will during this
   // Flush) — convergence must not depend on the ClearAll. Capture the
-  // fire count first: ClearAll drops the sites and their counters.
+  // fire counts first: ClearAll drops the sites and their counters.
   const uint64_t total_fires = failpoint::TotalFires();
+  const uint64_t slot_chunk_fires = failpoint::Fires("epoch_gc.slot_chunk");
   failpoint::ClearAll();
   pma.Flush();
 
@@ -406,13 +427,17 @@ TEST_P(ChaosSoak, FaultStormConvergesToExactState) {
   EXPECT_EQ(pma.Size(), expected);
   EXPECT_GT(total_fires, 0u)
       << "a chaos soak that injected nothing proved nothing";
+  EXPECT_GE(slot_chunk_fires, 1u)
+      << "the far reader's first pin must meet the slot-chunk fault";
   std::printf(
       "[chaos] mode=%s seed=%llu budget_ms=%lld survivors=%zu arms=%llu "
-      "fires=%llu errors=%llu retries=%llu watchdog=%llu\n",
+      "fires=%llu slot_chunk_fires=%llu errors=%llu retries=%llu "
+      "watchdog=%llu\n",
       param.name, static_cast<unsigned long long>(seed),
       static_cast<long long>(budget_ms), expected,
       static_cast<unsigned long long>(arms.load()),
       static_cast<unsigned long long>(total_fires),
+      static_cast<unsigned long long>(slot_chunk_fires),
       static_cast<unsigned long long>(errors.load()),
       static_cast<unsigned long long>(pma.num_rebalance_retries()),
       static_cast<unsigned long long>(pma.num_watchdog_trips()));
